@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use faas::cluster::{ClusterConfig, ClusterSim, RoundRobin, TenantTrace, LATENCY_RESERVOIR_CAP};
+use faas::cluster::{ClusterConfig, RoundRobin, TenantTrace, LATENCY_RESERVOIR_CAP};
 use faas::config::{BackendKind, Deployment, HarvestConfig, SimConfig, VmSpec};
 use faas::fleet::{FixedFleet, FleetConfig, FleetSim};
 use sim_core::DetRng;
@@ -148,8 +148,15 @@ pub fn run(cfg: &PerfConfig) -> PerfCell {
         .iter()
         .map(|t| t.arrivals.len() as u64)
         .sum();
+    // A fixed fleet whose own streams are rooted at host 0's seed.
+    let seed = cluster.hosts[0].seed;
     let t0 = Instant::now();
-    let sim = ClusterSim::new(cluster, Box::new(RoundRobin::default())).expect("hosts boot");
+    let sim = FleetSim::new(
+        FleetConfig::fixed(cluster, seed),
+        Box::new(RoundRobin::default()),
+        Box::new(FixedFleet),
+    )
+    .expect("hosts boot");
     let setup_s = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
     let out = sim.run();

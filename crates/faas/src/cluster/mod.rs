@@ -1,18 +1,12 @@
-//! The multi-host cluster simulator.
+//! The multi-host data plane: routers and the cluster configuration.
 //!
-//! [`ClusterSim`] runs N [`HostSim`]s under **one** event engine: a
-//! single deterministic queue interleaves every host's events with the
-//! cluster-level tenant arrivals, and a pluggable [`Router`] assigns
-//! each arriving request to a host at pop time — so dynamic policies
-//! (least-loaded, warm-affinity) see real-time load, not a static
-//! partition of the trace.
-//!
-//! Determinism is structural: the shared queue breaks time ties FIFO,
-//! arrivals are scheduled in tenant order at construction (exactly the
-//! order [`crate::FaasSim`] uses), and routers are deterministic. With
-//! one host and the [`SingleHost`] router, the queue contents and hence
-//! the run are *byte-identical* to the single-host simulator — a
-//! property the `cluster_equivalence` test pins for random traces.
+//! A cluster is N hosts under one event engine with a pluggable
+//! [`Router`] that assigns each arriving request to a host at pop time
+//! — so dynamic policies (least-loaded, warm-affinity) see real-time
+//! load, not a static partition of the trace. There is no separate
+//! cluster loop: a [`ClusterConfig`] runs as a fixed fleet
+//! ([`crate::FleetConfig::fixed`] under [`crate::FixedFleet`]) on
+//! [`crate::FleetSim`], the one engine every topology shares.
 
 mod router;
 
@@ -21,17 +15,7 @@ pub use router::{
     WarmAffinity,
 };
 
-use std::collections::BTreeMap;
-
-use sim_core::{DetRng, EventQueue, Histogram, Reservoir, SimTime};
-use vmm::VmmError;
-use workloads::{FunctionKind, TraceSource};
-
 use crate::config::SimConfig;
-use crate::feed::ArrivalFeed;
-use crate::metrics::SimResult;
-use crate::sim::events::{Event, EventSink};
-use crate::sim::host::HostSim;
 
 /// One tenant's invocation trace, addressed to a deployment slot every
 /// host exposes.
@@ -60,63 +44,23 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Builds the cluster a
-    /// [`Topology::Cluster`](crate::scenario::Topology::Cluster)
-    /// scenario runs: `n` identical hosts on derived jitter seeds, the
-    /// scenario's tenant traces routed across them.
-    ///
-    /// Part of the scenario front door — the `scenario_equivalence`
-    /// test pins `Scenario::run_trial` byte-identical to
-    /// `ClusterSim::new(ClusterConfig::from_scenario(..), ..).run()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scenario's topology is not `cluster(n)`.
-    pub fn from_scenario(
-        spec: &crate::scenario::Scenario,
-        backend: crate::config::BackendKind,
-        trial: u64,
-    ) -> ClusterConfig {
-        let crate::scenario::Topology::Cluster(n) = spec.topology else {
-            panic!(
-                "ClusterConfig::from_scenario needs a cluster(n) topology, got {}",
-                spec.topology.key()
-            );
-        };
-        let tenants = spec.tenant_loads(trial);
-        ClusterConfig {
-            hosts: (0..n)
-                .map(|h| spec.host_config(&tenants, backend, spec.host_seed(h as u64), trial))
-                .collect(),
-            tenants: tenants
-                .iter()
-                .enumerate()
-                .map(|(ti, t)| TenantTrace {
-                    vm: 0,
-                    dep: ti,
-                    arrivals: t.arrivals.clone(),
-                })
-                .collect(),
-        }
-    }
-
-    /// Wraps a single-host config into a cluster: its deployments'
-    /// arrival traces become the tenant traces. With the
-    /// [`SingleHost`] router this reproduces `FaasSim::new(cfg)`
-    /// byte-for-byte.
-    pub fn from_single(cfg: SimConfig) -> ClusterConfig {
+    /// Wraps a single-host config into a one-host cluster: its
+    /// deployments' arrival traces move into the tenant traces, in
+    /// flattened `(vm, dep)` order. Run behind the [`SingleHost`]
+    /// router this is [`crate::FaasSim`].
+    pub fn from_single(mut cfg: SimConfig) -> ClusterConfig {
         let tenants = cfg
             .vms
-            .iter()
+            .iter_mut()
             .enumerate()
             .flat_map(|(vi, spec)| {
                 spec.deployments
-                    .iter()
+                    .iter_mut()
                     .enumerate()
                     .map(move |(di, d)| TenantTrace {
                         vm: vi,
                         dep: di,
-                        arrivals: d.arrivals.clone(),
+                        arrivals: std::mem::take(&mut d.arrivals),
                     })
             })
             .collect();
@@ -127,293 +71,22 @@ impl ClusterConfig {
     }
 }
 
-/// Events of the shared cluster engine. Tenant arrivals never enter
-/// the queue: the run loop pulls them lazily from an [`ArrivalFeed`]
-/// and routes them inline, so queue memory is O(pending host events).
-enum ClusterEvent {
-    /// A host-internal event.
-    Host { host: usize, ev: Event },
-}
-
-/// Adapter tagging one host's scheduled events into the shared queue.
-struct HostSink<'a> {
-    q: &'a mut EventQueue<ClusterEvent>,
-    host: usize,
-}
-
-impl EventSink for HostSink<'_> {
-    fn push(&mut self, at: SimTime, ev: Event) {
-        self.q.push(
-            at,
-            ClusterEvent::Host {
-                host: self.host,
-                ev,
-            },
-        );
-    }
-}
-
-/// Retained capacity of the cluster/fleet time-resolved latency
-/// reservoirs: enough for windowed means over any run length, constant
-/// memory no matter how many requests complete.
+/// Retained capacity of the fleet's time-resolved latency reservoir:
+/// enough for windowed means over any run length, constant memory no
+/// matter how many requests complete.
 pub const LATENCY_RESERVOIR_CAP: usize = 4096;
 
 /// Derivation tag of the reservoir's replacement stream (from the
-/// first host's seed), distinct from every per-host jitter stream.
+/// fleet seed), distinct from every per-host jitter stream.
 pub(crate) const RESERVOIR_STREAM: u64 = 0x5E5E;
-
-/// Everything a cluster run produces.
-pub struct ClusterResult {
-    /// Per-host simulation results, in host order.
-    pub hosts: Vec<SimResult>,
-    /// Requests routed to `[host][tenant]`.
-    pub routed: Vec<Vec<u64>>,
-    /// Total requests completed across the cluster.
-    pub completed: u64,
-    /// Bounded uniform sample of `(arrival_s, latency_ms)` across the
-    /// whole cluster — time-resolved latency for long runs without
-    /// per-request memory (see [`LATENCY_RESERVOIR_CAP`]).
-    pub latency_over_time: Reservoir,
-    /// Total events the shared engine processed — queue pops plus fed
-    /// arrivals (the events/sec numerator of `repro perf`).
-    pub events_processed: u64,
-    /// High-water mark of the shared event queue.
-    pub peak_queue_depth: usize,
-    /// Arrivals the feed injected (the offered load actually replayed,
-    /// whether from materialized traces or a streamed file).
-    pub injected: u64,
-}
-
-impl ClusterResult {
-    /// Cluster-wide request-latency histograms, merged per function.
-    pub fn merged_latency(&self) -> BTreeMap<FunctionKind, Histogram> {
-        let mut merged: BTreeMap<FunctionKind, Histogram> = BTreeMap::new();
-        for host in &self.hosts {
-            for (&kind, m) in &host.per_func {
-                merged.entry(kind).or_default().merge(&m.latency);
-            }
-        }
-        merged
-    }
-
-    /// Cluster-wide cold and warm start counts.
-    pub fn cold_warm_starts(&self) -> (u64, u64) {
-        self.hosts
-            .iter()
-            .flat_map(|h| h.per_func.values())
-            .fold((0, 0), |(c, w), m| (c + m.cold_starts, w + m.warm_starts))
-    }
-
-    /// Integrated host memory footprint across the cluster (GiB·s).
-    pub fn total_gib_seconds(&self) -> f64 {
-        self.hosts.iter().map(|h| h.gib_seconds()).sum()
-    }
-
-    /// Requests routed per host (imbalance diagnostics).
-    pub fn routed_per_host(&self) -> Vec<u64> {
-        self.routed
-            .iter()
-            .map(|per_tenant| per_tenant.iter().sum())
-            .collect()
-    }
-}
-
-/// The multi-host FaaS cluster simulator.
-pub struct ClusterSim {
-    hosts: Vec<HostSim>,
-    tenants: Vec<TenantTrace>,
-    router: Box<dyn Router>,
-    events: EventQueue<ClusterEvent>,
-    feed: ArrivalFeed,
-    routed: Vec<Vec<u64>>,
-    latency_over_time: Reservoir,
-}
-
-impl ClusterSim {
-    /// Boots every host and takes the tenant traces into a lazy feed
-    /// (tenant-ordered, exactly the order the former pre-push used);
-    /// only the per-host sample chains enter the queue up front.
-    pub fn new(mut config: ClusterConfig, router: Box<dyn Router>) -> Result<ClusterSim, VmmError> {
-        let duration_s = ClusterSim::check(&config);
-        let slots = config
-            .tenants
-            .iter_mut()
-            .map(|t| std::mem::take(&mut t.arrivals))
-            .collect();
-        let feed = ArrivalFeed::merged(slots, duration_s);
-        ClusterSim::build(config, router, feed, false)
-    }
-
-    /// Boots every host and streams arrivals from a trace source:
-    /// tenant `i` of the trace addresses `config.tenants[i]`'s
-    /// `(vm, dep)` slot (any materialized arrivals in the config are
-    /// ignored). Hosts run in bounded-metrics mode so memory stays
-    /// constant over multi-million-invocation replays. `origin` names
-    /// the trace in diagnostics.
-    pub fn with_source(
-        config: ClusterConfig,
-        router: Box<dyn Router>,
-        source: Box<dyn TraceSource>,
-        origin: &str,
-    ) -> Result<ClusterSim, VmmError> {
-        let duration_s = ClusterSim::check(&config);
-        let feed = ArrivalFeed::stream(source, duration_s, origin);
-        ClusterSim::build(config, router, feed, true)
-    }
-
-    fn check(config: &ClusterConfig) -> f64 {
-        assert!(
-            !config.hosts.is_empty(),
-            "a cluster needs at least one host"
-        );
-        config.hosts[0].duration_s
-    }
-
-    fn build(
-        config: ClusterConfig,
-        router: Box<dyn Router>,
-        feed: ArrivalFeed,
-        bounded: bool,
-    ) -> Result<ClusterSim, VmmError> {
-        let reservoir_rng = DetRng::new(config.hosts[0].seed).derive(RESERVOIR_STREAM);
-        let mut hosts: Vec<HostSim> = config
-            .hosts
-            .into_iter()
-            .map(HostSim::new)
-            .collect::<Result<_, _>>()?;
-        for h in &mut hosts {
-            h.enable_latency_tap();
-            if bounded {
-                h.enable_bounded_metrics();
-            }
-        }
-        let mut events = EventQueue::new();
-        for host in 0..hosts.len() {
-            events.push(
-                SimTime::ZERO,
-                ClusterEvent::Host {
-                    host,
-                    ev: Event::Sample,
-                },
-            );
-        }
-        let routed = vec![vec![0; config.tenants.len()]; hosts.len()];
-        Ok(ClusterSim {
-            hosts,
-            tenants: config.tenants,
-            router,
-            events,
-            feed,
-            routed,
-            latency_over_time: Reservoir::new(LATENCY_RESERVOIR_CAP, reservoir_rng),
-        })
-    }
-
-    /// Routes one tenant arrival at `now` and returns the chosen host.
-    fn route_arrival(
-        &mut self,
-        now: SimTime,
-        tenant: usize,
-        needs_loads: bool,
-        loads: &mut Vec<HostLoad>,
-    ) -> usize {
-        let t = &self.tenants[tenant];
-        if needs_loads {
-            loads.clear();
-            loads.extend(self.hosts.iter().map(|h| h.load_snapshot(t.vm, t.dep)));
-        }
-        let h = self.router.route(tenant, loads);
-        assert!(
-            h < self.hosts.len(),
-            "router returned host {h} of {}",
-            self.hosts.len()
-        );
-        self.routed[h][tenant] += 1;
-        let (vm, dep) = (t.vm, t.dep);
-        let mut sink = HostSink {
-            q: &mut self.events,
-            host: h,
-        };
-        self.hosts[h].handle(now, Event::Arrival { vm, dep }, &mut sink);
-        h
-    }
-
-    /// Runs the cluster to completion.
-    pub fn run(mut self) -> ClusterResult {
-        // One reusable snapshot buffer instead of a fresh Vec per
-        // arrival; load-blind routers (see [`Router::needs_loads`])
-        // skip the O(hosts) snapshot entirely and only see the slice's
-        // length, which the placeholder entries preserve.
-        let needs_loads = self.router.needs_loads();
-        let mut loads: Vec<HostLoad> = vec![
-            HostLoad {
-                warm_idle: 0,
-                alive: 0,
-                queued: 0,
-                active: 0,
-                free_bytes: 0,
-            };
-            self.hosts.len()
-        ];
-        // Two-stream merge with batched pops: a fed arrival is routed
-        // inline whenever its time is <= the queue's next tick (it
-        // would have held the lower sequence number in the pre-push
-        // era), otherwise one tick's batch pops — in the exact (time,
-        // seq) order sequential pops would yield.
-        let mut batch = Vec::new();
-        loop {
-            let arrival_next = match (self.feed.peek(), self.events.peek_time()) {
-                (Some((at, _)), Some(qt)) => at <= qt,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if arrival_next {
-                let (at, tenant) = self.feed.pop().expect("peeked");
-                let touched = self.route_arrival(at, tenant, needs_loads, &mut loads);
-                self.drain_tap(touched);
-            } else if let Some(now) = self.events.pop_batch(&mut batch) {
-                for ev in batch.drain(..) {
-                    let ClusterEvent::Host { host, ev } = ev;
-                    let mut sink = HostSink {
-                        q: &mut self.events,
-                        host,
-                    };
-                    self.hosts[host].handle(now, ev, &mut sink);
-                    self.drain_tap(host);
-                }
-            }
-        }
-        let injected = self.feed.injected();
-        let events_processed = self.events.processed() + injected;
-        let peak_queue_depth = self.events.peak_len();
-        let hosts: Vec<SimResult> = self.hosts.into_iter().map(HostSim::finish).collect();
-        let completed = hosts.iter().map(|h| h.completed).sum();
-        ClusterResult {
-            hosts,
-            routed: self.routed,
-            completed,
-            latency_over_time: self.latency_over_time,
-            events_processed,
-            peak_queue_depth,
-            injected,
-        }
-    }
-
-    /// Moves the touched host's freshly recorded completions into the
-    /// cluster reservoir.
-    fn drain_tap(&mut self, host: usize) {
-        for &(_, arrival_s, latency_ms) in self.hosts[host].recent_latencies() {
-            self.latency_over_time.offer(arrival_s, latency_ms);
-        }
-        self.hosts[host].clear_recent_latencies();
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{BackendKind, Deployment, HarvestConfig, VmSpec};
+    use crate::fleet::{FixedFleet, FleetConfig, FleetResult, FleetSim};
+    use sim_core::Histogram;
+    use workloads::FunctionKind;
 
     fn host_cfg(backend: BackendKind, tenants: usize, seed: u64) -> SimConfig {
         SimConfig {
@@ -440,7 +113,7 @@ mod tests {
         }
     }
 
-    fn two_host_cluster(router: Box<dyn Router>) -> ClusterResult {
+    fn two_host_cluster(router: Box<dyn Router>) -> FleetResult {
         let config = ClusterConfig {
             hosts: vec![
                 host_cfg(BackendKind::Squeezy, 2, 1),
@@ -459,23 +132,32 @@ mod tests {
                 },
             ],
         };
-        ClusterSim::new(config, router).expect("boot").run()
+        FleetSim::new(FleetConfig::fixed(config, 1), router, Box::new(FixedFleet))
+            .expect("boot")
+            .run()
+    }
+
+    fn routed_per_host(result: &FleetResult) -> Vec<u64> {
+        result.routed.iter().map(|t| t.iter().sum()).collect()
     }
 
     #[test]
     fn round_robin_spreads_over_hosts() {
         let result = two_host_cluster(Box::new(RoundRobin::default()));
         assert_eq!(result.completed, 9, "every request served");
-        let per_host = result.routed_per_host();
-        assert_eq!(per_host, vec![5, 4], "alternating assignment");
+        assert_eq!(
+            routed_per_host(&result),
+            vec![5, 4],
+            "alternating assignment"
+        );
     }
 
     #[test]
     fn single_host_router_leaves_other_hosts_idle() {
         let result = two_host_cluster(Box::new(SingleHost));
         assert_eq!(result.completed, 9);
-        assert_eq!(result.routed_per_host()[1], 0);
-        assert_eq!(result.hosts[1].completed, 0);
+        assert_eq!(routed_per_host(&result)[1], 0);
+        assert_eq!(result.hosts[1].result.completed, 0);
     }
 
     #[test]
@@ -497,8 +179,8 @@ mod tests {
         let b = two_host_cluster(Box::new(LeastLoaded));
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.routed, b.routed);
-        let da: Vec<u64> = a.hosts.iter().map(SimResult::digest).collect();
-        let db: Vec<u64> = b.hosts.iter().map(SimResult::digest).collect();
+        let da: Vec<u64> = a.hosts.iter().map(|h| h.result.digest()).collect();
+        let db: Vec<u64> = b.hosts.iter().map(|h| h.result.digest()).collect();
         assert_eq!(da, db);
     }
 

@@ -1,4 +1,4 @@
-//! Request routing policies for the cluster simulator.
+//! Request routing policies for the fleet engine.
 //!
 //! A [`Router`] maps each arriving request to a host, deterministically,
 //! from a snapshot of per-host load ([`HostLoad`]). Ties always break
@@ -34,15 +34,15 @@ impl HostLoad {
 /// Chooses a host for each arriving request.
 ///
 /// Implementations must be deterministic functions of their own state
-/// and the provided snapshot: the cluster simulator's reproducibility
-/// (and its byte-identity property with one host) depends on it.
+/// and the provided snapshot: the engine's reproducibility depends on
+/// it.
 pub trait Router {
     /// Display name used in result tables.
     fn name(&self) -> &'static str;
 
     /// Whether [`route`](Router::route) reads the load snapshots.
     /// Policies that ignore them (round-robin, single-host) return
-    /// `false`, and the simulators skip the O(hosts) snapshot per
+    /// `false`, and the engine skips the O(hosts) snapshot per
     /// arrival — the snapshots' *contents* never reach such a policy,
     /// so the routing decisions (and the run) are unchanged.
     fn needs_loads(&self) -> bool {
@@ -104,8 +104,8 @@ impl RouterKind {
     }
 }
 
-/// Routes everything to host 0 — the passthrough router that makes a
-/// one-host cluster reproduce the single-host simulator exactly.
+/// Routes everything to host 0 — the passthrough router behind
+/// [`crate::FaasSim`], the one-host fleet.
 pub struct SingleHost;
 
 impl Router for SingleHost {

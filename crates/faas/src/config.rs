@@ -156,31 +156,6 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// Builds the single-host configuration a
-    /// [`Topology::SingleVm`](crate::scenario::Topology::SingleVm)
-    /// scenario runs: one VM whose deployments carry the scenario's
-    /// tenant traces directly.
-    ///
-    /// Part of the scenario front door — the `scenario_equivalence`
-    /// test pins `Scenario::run_trial` byte-identical to
-    /// `FaasSim::new(SimConfig::from_scenario(..)).run()`.
-    pub fn from_scenario(
-        spec: &crate::scenario::Scenario,
-        backend: BackendKind,
-        trial: u64,
-    ) -> SimConfig {
-        let tenants = spec.tenant_loads(trial);
-        let mut cfg = spec.host_config(&tenants, backend, spec.host_seed(0), trial);
-        for (dep, t) in cfg.vms[0].deployments.iter_mut().zip(tenants) {
-            dep.arrivals = t.arrivals;
-        }
-        // A single host records exact per-request latency points (the
-        // Figure-9-style time-resolved view); multi-host topologies
-        // use the bounded reservoir instead.
-        cfg.record_latency_points = true;
-        cfg
-    }
-
     /// A single-VM configuration with sensible defaults.
     pub fn single_vm(backend: BackendKind, deployment: Deployment, duration_s: f64) -> Self {
         SimConfig {

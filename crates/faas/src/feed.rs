@@ -1,11 +1,11 @@
-//! Pull-based arrival feeds: the simulators draw arrivals lazily
+//! Pull-based arrival feeds: the fleet engine draws arrivals lazily
 //! instead of pre-pushing the whole trace into the event queue.
 //!
 //! Pre-pushing costs O(total invocations) queue memory up front — fine
 //! for synthetic minute-scale traces, fatal for multi-day replays with
 //! millions of invocations. A feed holds either the materialized
 //! per-slot arrival lists (legacy generators) or a streaming
-//! [`TraceSource`] (file-backed replays), and the run loops merge it
+//! [`TraceSource`] (file-backed replays), and the run loop merges it
 //! with the event queue one arrival at a time, so queue memory stays
 //! O(pending events).
 //!
@@ -18,17 +18,15 @@
 //! queue's next tick (the arrival wins ties), and the feed itself
 //! yields in `(converted SimTime, slot, position)` order — the same
 //! total order the queue's `(time, seq)` tie-break produced. The
-//! `golden`, `cluster_equivalence` and `fleet_equivalence` suites pin
-//! this.
+//! `golden` and `topology_golden` suites pin this.
 
 use sim_core::{SimDuration, SimTime};
 use workloads::TraceSource;
 
 /// A source of `(time, slot)` arrivals in non-decreasing time order.
 ///
-/// `slot` is the feed-local arrival address: the flattened `(vm, dep)`
-/// deployment index for the single-host simulator, the tenant index for
-/// the cluster and fleet simulators.
+/// `slot` is the feed-local arrival address: the fleet's tenant index
+/// (for a single host, its flattened `(vm, dep)` deployment index).
 pub(crate) enum ArrivalFeed {
     Merged(MergedFeed),
     Stream(StreamFeed),

@@ -14,8 +14,8 @@ use sim_core::DetRng;
 #[derive(Clone, Copy, Debug)]
 pub struct FailureConfig {
     /// Mean time between host crashes in seconds; `0.0` disables
-    /// injection entirely (no events are ever scheduled, preserving
-    /// the fixed-fleet byte-identity with `ClusterSim`).
+    /// injection entirely (no events are ever scheduled, so a fixed
+    /// fleet's queue holds only host events).
     pub mtbf_s: f64,
 }
 

@@ -1,15 +1,15 @@
-//! The fleet simulator: an elastic host set over the shared event
-//! engine.
+//! The fleet simulator: the one event engine every topology runs on.
 //!
-//! [`crate::ClusterSim`] (PR 3) runs N hosts, but N is frozen for the
-//! whole run — it is a *data plane*. [`FleetSim`] adds the control
-//! plane a real serverless fleet runs on top:
+//! [`FleetSim`] drives N [`HostSim`]s on one shared deterministic
+//! queue, routes each arriving request to a host at pop time through a
+//! pluggable [`Router`], and puts a control plane on top:
 //!
 //! * **Host lifecycle** — every host moves through
 //!   [`HostState::Booting`] → [`HostState::Active`] →
 //!   [`HostState::Draining`] → [`HostState::Retired`], or is forced to
 //!   [`HostState::Failed`] by injected crashes. Routers only ever see
-//!   Active hosts.
+//!   Active hosts. A host that retires or fails is finished on the
+//!   spot: its result is kept and its VMs and memmap are freed.
 //! * **Autoscaling** — an [`AutoscalePolicy`] ticks on a fixed control
 //!   period and decides to grow (boot new hosts from a template config,
 //!   ready after a provisioning delay) or shrink (gracefully drain).
@@ -25,13 +25,19 @@
 //!   requeued to the surviving fleet (fresh arrival clocks, as a
 //!   client retry would), its in-flight executions are counted lost.
 //!
-//! Determinism is inherited from the cluster layer: one shared
-//! [`EventQueue`] with FIFO tie-breaks, pop-time routing, and every
-//! random choice (crash times, victims, power-of-two probes, reservoir
-//! replacement) on its own derived [`DetRng`] stream. With a fixed
-//! fleet ([`FixedFleet`]) and failures off, the event stream is
-//! *byte-identical* to [`crate::ClusterSim`]'s — the
-//! `fleet_equivalence` property test pins it over random traces.
+//! The other topologies are special cases: a `cluster(n)` is a fixed
+//! fleet of `n` hosts ([`FleetConfig::fixed`] with the [`FixedFleet`]
+//! policy), and the paper's single host ([`crate::FaasSim`]) is a
+//! one-host fixed fleet behind the [`crate::cluster::SingleHost`]
+//! router. A fixed fleet schedules no control ticks and no crashes, so
+//! its queue holds only host events.
+//!
+//! Determinism is structural: the shared queue breaks time ties FIFO,
+//! arrivals are fed lazily in tenant order, routers are deterministic,
+//! and every random choice (crash times, victims, power-of-two probes,
+//! reservoir replacement) draws from its own derived [`DetRng`]
+//! stream. The `golden` and `topology_golden` suites pin the output
+//! byte for byte.
 
 mod failure;
 mod policy;
@@ -54,7 +60,7 @@ use crate::cluster::{
 use crate::config::SimConfig;
 use crate::feed::ArrivalFeed;
 use crate::metrics::SimResult;
-use crate::sim::events::{Event, EventSink};
+use crate::sim::events::Event;
 use crate::sim::host::HostSim;
 use failure::FailureInjector;
 
@@ -137,9 +143,9 @@ pub struct FleetConfig {
 
 impl FleetConfig {
     /// Wraps a [`ClusterConfig`] into a frozen fleet: same hosts, same
-    /// tenants, autoscaling and failures off. With the same router and
-    /// the [`FixedFleet`] policy this reproduces
-    /// [`crate::ClusterSim`] byte-for-byte.
+    /// tenants, autoscaling and failures off. Run it with the
+    /// [`FixedFleet`] policy. `seed` roots the fleet's own streams
+    /// (the latency reservoir).
     pub fn fixed(cluster: ClusterConfig, seed: u64) -> FleetConfig {
         let template = cluster.hosts[0].clone();
         let n = cluster.hosts.len();
@@ -164,35 +170,53 @@ impl FleetConfig {
         }
     }
 
-    /// Builds the fleet a
-    /// [`Topology::Fleet`](crate::scenario::Topology::Fleet) scenario
-    /// runs: the `fixed` policy provisions `max_hosts` up front (the
-    /// static peak-capacity baseline), every other policy starts at
-    /// `min_hosts` and earns its capacity; the boot template sits on
-    /// its own seed tag so autoscaler-booted hosts never share an
-    /// initial host's jitter stream.
+    /// Builds the fleet a scenario runs, for any topology:
     ///
-    /// Part of the scenario front door — the `scenario_equivalence`
-    /// test pins `Scenario::run_trial` byte-identical to
-    /// `FleetSim::new(FleetConfig::from_scenario(..), ..).run()`.
+    /// * `single-vm` — one host on host seed 0 that records exact
+    ///   per-request latency points (the Figure-9-style view);
+    /// * `cluster(n)` — `n` identical hosts on derived jitter seeds,
+    ///   the fleet's own streams rooted at host 0's seed;
+    /// * `fleet` — the `fixed` policy provisions `max_hosts` up front
+    ///   (the static peak-capacity baseline), every other policy
+    ///   starts at `min_hosts` and earns its capacity, with the
+    ///   scenario's crash plan and a per-trial fleet seed.
+    ///
+    /// Only `fleet` scales or fails: the first two are frozen fleets
+    /// that [`crate::Scenario::run_trial`] runs under [`FixedFleet`].
+    /// The boot template sits on its own seed tag so autoscaler-booted
+    /// hosts never share an initial host's jitter stream.
     pub fn from_scenario(
         spec: &crate::scenario::Scenario,
         backend: crate::config::BackendKind,
         trial: u64,
     ) -> FleetConfig {
         use crate::fleet::policy::PolicyKind;
-        use crate::scenario::TEMPLATE_TAG;
+        use crate::scenario::{Topology, TEMPLATE_TAG};
         let tenants = spec.tenant_loads(trial);
-        let initial = if spec.policy == PolicyKind::Fixed {
-            spec.max_hosts
-        } else {
-            spec.min_hosts
+        let host = |tag: u64| spec.host_config(&tenants, backend, spec.host_seed(tag), trial);
+        let (initial, max_hosts, failures, seed) = match spec.topology {
+            Topology::SingleVm => (1, 1, FailureConfig::off(), spec.host_seed(0)),
+            Topology::Cluster(n) => (n, n, FailureConfig::off(), spec.host_seed(0)),
+            Topology::Fleet => (
+                if spec.policy == PolicyKind::Fixed {
+                    spec.max_hosts
+                } else {
+                    spec.min_hosts
+                },
+                spec.max_hosts,
+                FailureConfig {
+                    mtbf_s: spec.mtbf_s,
+                },
+                spec.fleet_seed(trial),
+            ),
         };
+        let mut initial_hosts: Vec<SimConfig> = (0..initial).map(|h| host(h as u64)).collect();
+        if spec.topology == Topology::SingleVm {
+            initial_hosts[0].record_latency_points = true;
+        }
         FleetConfig {
-            initial_hosts: (0..initial)
-                .map(|h| spec.host_config(&tenants, backend, spec.host_seed(h as u64), trial))
-                .collect(),
-            template: spec.host_config(&tenants, backend, spec.host_seed(TEMPLATE_TAG), trial),
+            initial_hosts,
+            template: host(TEMPLATE_TAG),
             slo: spec.effective_slos(tenants.iter().map(|t| t.kind)),
             tenants: tenants
                 .into_iter()
@@ -204,19 +228,13 @@ impl FleetConfig {
                 })
                 .collect(),
             autoscale: AutoscaleOpts {
-                min_hosts: if spec.policy == PolicyKind::Fixed {
-                    spec.max_hosts
-                } else {
-                    spec.min_hosts
-                },
-                max_hosts: spec.max_hosts,
+                min_hosts: initial,
+                max_hosts,
                 boot_delay_s: spec.boot_delay_s,
                 cooldown_s: spec.cooldown_s,
             },
-            failures: FailureConfig {
-                mtbf_s: spec.mtbf_s,
-            },
-            seed: spec.fleet_seed(trial),
+            failures,
+            seed,
         }
     }
 
@@ -246,15 +264,32 @@ enum FleetEvent {
     Crash,
 }
 
-/// Adapter tagging one host's scheduled events into the shared queue.
-struct HostSink<'a> {
-    q: &'a mut EventQueue<FleetEvent>,
-    host: usize,
+/// What the fleet records about every completed request, in
+/// completion order: the latency reservoir, the SLO counters and, when
+/// a control loop runs, the policy's latency window.
+struct Completions {
+    latency_over_time: Reservoir,
+    slo: Vec<(FunctionKind, f64)>,
+    slo_violations: u64,
+    slo_total: u64,
+    /// Completions since the last control tick; `None` without a
+    /// control loop.
+    window: Option<Vec<LatencyObs>>,
 }
 
-impl EventSink for HostSink<'_> {
-    fn push(&mut self, at: SimTime, ev: Event) {
-        self.q.push(
+/// Where one host's handlers send their output: follow-up events go
+/// into the shared queue tagged with the host, completed requests go
+/// straight to the fleet's [`Completions`].
+pub(crate) struct HostSink<'a> {
+    host: usize,
+    events: &'a mut EventQueue<FleetEvent>,
+    completions: &'a mut Completions,
+}
+
+impl HostSink<'_> {
+    /// Schedules `ev` for this host at absolute time `at`.
+    pub(crate) fn push(&mut self, at: SimTime, ev: Event) {
+        self.events.push(
             at,
             FleetEvent::Host {
                 host: self.host,
@@ -262,23 +297,53 @@ impl EventSink for HostSink<'_> {
             },
         );
     }
+
+    /// Reports a completed request of function `kind` that arrived at
+    /// `arrival_s` and took `latency_ms`.
+    pub(crate) fn complete(&mut self, kind: FunctionKind, arrival_s: f64, latency_ms: f64) {
+        let c = &mut *self.completions;
+        c.latency_over_time.offer(arrival_s, latency_ms);
+        if let Some(&(_, target)) = c.slo.iter().find(|(k, _)| *k == kind) {
+            c.slo_total += 1;
+            if latency_ms > target {
+                c.slo_violations += 1;
+            }
+        }
+        if let Some(window) = &mut c.window {
+            window.push((kind, latency_ms));
+        }
+    }
 }
 
 /// One host's slot in the fleet.
 struct Slot {
-    sim: HostSim,
+    /// The running host; `None` once it retired or failed.
+    sim: Option<HostSim>,
+    /// The host's result, taken when it retired or failed.
+    result: Option<SimResult>,
     state: HostState,
     boot_at: SimTime,
     stop_at: Option<SimTime>,
 }
 
 impl Slot {
-    /// Still processes its own events (Booting hosts have none yet).
-    fn is_live(&self) -> bool {
-        matches!(
-            self.state,
-            HostState::Booting | HostState::Active | HostState::Draining
-        )
+    fn new(sim: HostSim, state: HostState, boot_at: SimTime) -> Slot {
+        Slot {
+            sim: Some(sim),
+            result: None,
+            state,
+            boot_at,
+            stop_at: None,
+        }
+    }
+
+    /// The running host of a Booting, Active or Draining slot.
+    fn sim(&self) -> &HostSim {
+        self.sim.as_ref().expect("host is live")
+    }
+
+    fn sim_mut(&mut self) -> &mut HostSim {
+        self.sim.as_mut().expect("host is live")
     }
 }
 
@@ -393,7 +458,7 @@ impl FleetResult {
     }
 }
 
-/// The elastic multi-host fleet simulator.
+/// The fleet simulator: the one engine behind every topology.
 pub struct FleetSim {
     duration_s: f64,
     template: SimConfig,
@@ -407,13 +472,17 @@ pub struct FleetSim {
     router_needs_loads: bool,
     /// Per-arrival routing scratch (reused, never reallocated in
     /// steady state).
-    route_eligible: Vec<usize>,
     route_loads: Vec<HostLoad>,
     policy: Box<dyn AutoscalePolicy>,
+    /// Cached [`AutoscalePolicy::period_s`]: `None` means no control
+    /// loop.
+    control_period: Option<f64>,
     opts: AutoscaleOpts,
-    slo: Vec<(FunctionKind, f64)>,
     slots_per_host: usize,
     hosts: Vec<Slot>,
+    /// Indices of the Active hosts in ascending order — the routable
+    /// set, updated on every state change.
+    active: Vec<usize>,
     events: EventQueue<FleetEvent>,
     feed: ArrivalFeed,
     /// Streamed-trace runs bound their metric memory; booted hosts
@@ -421,11 +490,8 @@ pub struct FleetSim {
     bounded_metrics: bool,
     routed: Vec<Vec<u64>>,
     injector: FailureInjector,
-    /// Completions since the last control tick (policy window);
-    /// only fed when the control loop is on.
-    recent_window: Vec<LatencyObs>,
+    completions: Completions,
     last_action_at: Option<SimTime>,
-    latency_over_time: Reservoir,
     active_hosts_over_time: TimeSeries,
     scale_ups: u64,
     scale_downs: u64,
@@ -433,17 +499,13 @@ pub struct FleetSim {
     requeued: u64,
     lost: u64,
     deferred: u64,
-    slo_violations: u64,
-    slo_total: u64,
 }
 
 impl FleetSim {
-    /// Boots the initial hosts and schedules the tenant traces, the
-    /// control loop (if the policy has one) and the crash plan.
-    ///
-    /// Construction order matches [`crate::ClusterSim`] exactly —
-    /// arrivals in tenant order, then one sample chain per host — so a
-    /// fixed fleet's event queue is byte-identical to the cluster's.
+    /// Boots the initial hosts and takes the tenant traces into a lazy
+    /// feed (tenant-ordered); one sample chain per host, the control
+    /// loop (if the policy has one) and the crash plan enter the queue
+    /// up front.
     pub fn new(
         mut config: FleetConfig,
         router: Box<dyn Router>,
@@ -507,20 +569,15 @@ impl FleetSim {
         let slots_per_host = config.slots_per_host().max(1);
         let reservoir_rng = DetRng::new(config.seed).derive(RESERVOIR_STREAM);
         let mut injector = FailureInjector::new(DetRng::new(config.seed).derive(FAILURE_STREAM));
+        let control_period = policy.period_s();
 
         let mut hosts = Vec::new();
         for cfg in config.initial_hosts {
             let mut sim = HostSim::new(cfg)?;
-            sim.enable_latency_tap();
             if bounded_metrics {
                 sim.enable_bounded_metrics();
             }
-            hosts.push(Slot {
-                sim,
-                state: HostState::Active,
-                boot_at: SimTime::ZERO,
-                stop_at: None,
-            });
+            hosts.push(Slot::new(sim, HostState::Active, SimTime::ZERO));
         }
 
         let mut events = EventQueue::new();
@@ -533,7 +590,7 @@ impl FleetSim {
                 },
             );
         }
-        if let Some(period) = policy.period_s() {
+        if let Some(period) = control_period {
             assert!(period > 0.0, "control period must be positive");
             if period <= duration_s {
                 events.push(
@@ -569,21 +626,26 @@ impl FleetSim {
             tenant_of_slot,
             router_needs_loads: router.needs_loads(),
             router,
-            route_eligible: Vec::new(),
             route_loads: Vec::new(),
             policy,
+            control_period,
             opts: config.autoscale,
-            slo: config.slo,
             slots_per_host,
+            active: (0..hosts.len()).collect(),
             hosts,
             events,
             feed,
             bounded_metrics,
             routed,
             injector,
-            recent_window: Vec::new(),
+            completions: Completions {
+                latency_over_time: Reservoir::new(LATENCY_RESERVOIR_CAP, reservoir_rng),
+                slo: config.slo,
+                slo_violations: 0,
+                slo_total: 0,
+                window: control_period.map(|_| Vec::new()),
+            },
             last_action_at: None,
-            latency_over_time: Reservoir::new(LATENCY_RESERVOIR_CAP, reservoir_rng),
             active_hosts_over_time,
             scale_ups: 0,
             scale_downs: 0,
@@ -591,8 +653,6 @@ impl FleetSim {
             requeued: 0,
             lost: 0,
             deferred: 0,
-            slo_violations: 0,
-            slo_total: 0,
         })
     }
 
@@ -623,15 +683,18 @@ impl FleetSim {
                         FleetEvent::Host { host, ev } => {
                             // Retired and failed hosts are gone: their residual
                             // events (keep-alives, sample chains) evaporate.
-                            if !self.hosts[host].is_live() {
+                            let Some(sim) = self.hosts[host].sim.as_mut() else {
                                 continue;
-                            }
-                            let mut sink = HostSink {
-                                q: &mut self.events,
-                                host,
                             };
-                            self.hosts[host].sim.handle(now, ev, &mut sink);
-                            self.drain_tap(host);
+                            sim.handle(
+                                now,
+                                ev,
+                                &mut HostSink {
+                                    host,
+                                    events: &mut self.events,
+                                    completions: &mut self.completions,
+                                },
+                            );
                             self.maybe_retire(now, host);
                         }
                         FleetEvent::Control => self.on_control(now),
@@ -655,7 +718,10 @@ impl FleetSim {
                     .stop_at
                     .map(|t| t.as_secs_f64())
                     .unwrap_or(self.duration_s),
-                result: slot.sim.finish(),
+                result: match slot.sim {
+                    Some(sim) => sim.finish(),
+                    None => slot.result.expect("stopped host kept its result"),
+                },
             })
             .collect();
         let completed = hosts.iter().map(|h| h.result.completed).sum();
@@ -669,9 +735,9 @@ impl FleetSim {
             requeued: self.requeued,
             lost: self.lost,
             deferred: self.deferred,
-            slo_violations: self.slo_violations,
-            slo_total: self.slo_total,
-            latency_over_time: self.latency_over_time,
+            slo_violations: self.completions.slo_violations,
+            slo_total: self.completions.slo_total,
+            latency_over_time: self.completions.latency_over_time,
             active_hosts_over_time: self.active_hosts_over_time,
             events_processed,
             peak_queue_depth,
@@ -683,22 +749,12 @@ impl FleetSim {
     // --- Data plane --------------------------------------------------------
 
     fn on_incoming(&mut self, now: SimTime, tenant: usize) {
-        let t = &self.tenants[tenant];
-        self.route_eligible.clear();
-        self.route_eligible.extend(
-            self.hosts
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.state == HostState::Active)
-                .map(|(i, _)| i),
-        );
-        if self.route_eligible.is_empty() {
+        if self.active.is_empty() {
             // No routable host. If capacity is provisioning — or the
             // control loop is still alive to provision some — park the
             // request briefly; otherwise it is genuinely unservable.
-            let provisioning = self.hosts.iter().any(|s| s.state == HostState::Booting);
-            let loop_alive =
-                self.policy.period_s().is_some() && now.as_secs_f64() < self.duration_s;
+            let provisioning = self.count(HostState::Booting) > 0;
+            let loop_alive = self.control_period.is_some() && now.as_secs_f64() < self.duration_s;
             if provisioning || loop_alive {
                 self.deferred += 1;
                 self.events.push(
@@ -710,18 +766,20 @@ impl FleetSim {
             }
             return;
         }
+        let t = &self.tenants[tenant];
         // Load-aware routers get fresh snapshots; load-blind ones only
-        // see the slice's length, which the placeholder entries keep.
-        self.route_loads.clear();
+        // see the slice's length, which the placeholder entries keep
+        // (resized only when the Active set changes size).
         if self.router_needs_loads {
+            self.route_loads.clear();
             self.route_loads.extend(
-                self.route_eligible
+                self.active
                     .iter()
-                    .map(|&i| self.hosts[i].sim.load_snapshot(t.vm, t.dep)),
+                    .map(|&i| self.hosts[i].sim().load_snapshot(t.vm, t.dep)),
             );
         } else {
             self.route_loads.resize(
-                self.route_eligible.len(),
+                self.active.len(),
                 HostLoad {
                     warm_idle: 0,
                     alive: 0,
@@ -733,41 +791,22 @@ impl FleetSim {
         }
         let r = self.router.route(tenant, &self.route_loads);
         assert!(
-            r < self.route_eligible.len(),
+            r < self.active.len(),
             "router returned host {r} of {}",
-            self.route_eligible.len()
+            self.active.len()
         );
-        let h = self.route_eligible[r];
-        self.routed[h][tenant] += 1;
+        let host = self.active[r];
+        self.routed[host][tenant] += 1;
         let (vm, dep) = (t.vm, t.dep);
-        let mut sink = HostSink {
-            q: &mut self.events,
-            host: h,
-        };
-        self.hosts[h]
-            .sim
-            .handle(now, Event::Arrival { vm, dep }, &mut sink);
-        self.drain_tap(h);
-    }
-
-    /// Moves the host's freshly recorded completions into the fleet's
-    /// reservoir, SLO counters and (when the control loop is on) the
-    /// policy's latency window.
-    fn drain_tap(&mut self, host: usize) {
-        let window_on = self.policy.period_s().is_some();
-        for &(kind, arrival_s, latency_ms) in self.hosts[host].sim.recent_latencies() {
-            self.latency_over_time.offer(arrival_s, latency_ms);
-            if let Some(&(_, target)) = self.slo.iter().find(|(k, _)| *k == kind) {
-                self.slo_total += 1;
-                if latency_ms > target {
-                    self.slo_violations += 1;
-                }
-            }
-            if window_on {
-                self.recent_window.push((kind, latency_ms));
-            }
-        }
-        self.hosts[host].sim.clear_recent_latencies();
+        self.hosts[host].sim_mut().handle(
+            now,
+            Event::Arrival { vm, dep },
+            &mut HostSink {
+                host,
+                events: &mut self.events,
+                completions: &mut self.completions,
+            },
+        );
     }
 
     // --- Control plane -----------------------------------------------------
@@ -779,29 +818,33 @@ impl FleetSim {
         // replacements up to `min_hosts` outside the policy and its
         // cooldown. A fixed fleet has no control loop and therefore no
         // healing — its crash losses are permanent by design.
-        let provisioned = self.count(HostState::Active) + self.count(HostState::Booting);
+        let provisioned = self.provisioned();
         if provisioned < self.opts.min_hosts {
             self.boot_hosts(now, self.opts.min_hosts - provisioned);
         }
         let active_loads: Vec<HostLoad> = self
-            .hosts
+            .active
             .iter()
-            .filter(|s| s.state == HostState::Active)
-            .map(|s| s.sim.total_load())
+            .map(|&i| self.hosts[i].sim().total_load())
             .collect();
         let booting = self.count(HostState::Booting);
         let draining = self.count(HostState::Draining);
+        let window = self
+            .completions
+            .window
+            .as_mut()
+            .expect("a control loop keeps a latency window");
         let view = FleetView {
             now_s: now.as_secs_f64(),
             active: &active_loads,
             booting,
             draining,
             slots_per_host: self.slots_per_host,
-            recent: &self.recent_window,
-            slo: &self.slo,
+            recent: window.as_slice(),
+            slo: &self.completions.slo,
         };
         let decision = self.policy.decide(&view);
-        self.recent_window.clear();
+        window.clear();
 
         let in_cooldown = self
             .last_action_at
@@ -814,7 +857,7 @@ impl FleetSim {
             }
         }
 
-        if let Some(period) = self.policy.period_s() {
+        if let Some(period) = self.control_period {
             let next = now + SimDuration::from_secs_f64(period);
             if next.as_secs_f64() <= self.duration_s {
                 self.events.push(next, FleetEvent::Control);
@@ -826,9 +869,13 @@ impl FleetSim {
         self.hosts.iter().filter(|s| s.state == state).count()
     }
 
+    /// Active plus Booting hosts — the capacity the limits clamp.
+    fn provisioned(&self) -> usize {
+        self.active.len() + self.count(HostState::Booting)
+    }
+
     fn scale_up(&mut self, now: SimTime, n: u32) {
-        let provisioned = self.count(HostState::Active) + self.count(HostState::Booting);
-        let room = self.opts.max_hosts.saturating_sub(provisioned);
+        let room = self.opts.max_hosts.saturating_sub(self.provisioned());
         let n = (n as usize).min(room);
         if n > 0 {
             self.boot_hosts(now, n);
@@ -851,16 +898,10 @@ impl FleetSim {
                 .derive(ordinal)
                 .seed();
             let mut sim = HostSim::new(cfg).expect("fleet template host boots");
-            sim.enable_latency_tap();
             if self.bounded_metrics {
                 sim.enable_bounded_metrics();
             }
-            self.hosts.push(Slot {
-                sim,
-                state: HostState::Booting,
-                boot_at: now,
-                stop_at: None,
-            });
+            self.hosts.push(Slot::new(sim, HostState::Booting, now));
             self.routed.push(vec![0; self.tenants.len()]);
             let host = self.hosts.len() - 1;
             self.events.push(
@@ -872,24 +913,21 @@ impl FleetSim {
     }
 
     fn scale_down(&mut self, now: SimTime, n: u32) {
-        let provisioned = self.count(HostState::Active) + self.count(HostState::Booting);
-        let allowed = provisioned.saturating_sub(self.opts.min_hosts);
-        let n = (n as usize).min(allowed).min(self.count(HostState::Active));
+        let allowed = self.provisioned().saturating_sub(self.opts.min_hosts);
+        let n = (n as usize).min(allowed).min(self.active.len());
         if n == 0 {
             return;
         }
         // Drain the least-pressured hosts: they quiesce fastest and
         // carry the least warm state worth keeping.
         let mut candidates: Vec<(usize, usize)> = self
-            .hosts
+            .active
             .iter()
-            .enumerate()
-            .filter(|(_, s)| s.state == HostState::Active)
-            .map(|(i, s)| (s.sim.total_load().pressure(), i))
+            .map(|&i| (self.hosts[i].sim().total_load().pressure(), i))
             .collect();
         candidates.sort_unstable();
         for &(_, host) in candidates.iter().take(n) {
-            self.hosts[host].state = HostState::Draining;
+            self.set_state(now, host, HostState::Draining);
             self.scale_downs += 1;
             self.maybe_retire(now, host);
         }
@@ -901,22 +939,45 @@ impl FleetSim {
         if self.hosts[host].state != HostState::Booting {
             return;
         }
-        self.hosts[host].state = HostState::Active;
+        self.set_state(now, host, HostState::Active);
         // Start the host's metrics sample chain.
-        let mut sink = HostSink {
-            q: &mut self.events,
-            host,
-        };
-        sink.push(now, Event::Sample);
+        self.events.push(
+            now,
+            FleetEvent::Host {
+                host,
+                ev: Event::Sample,
+            },
+        );
         self.push_active_count(now);
     }
 
     /// Retires a draining host once it has nothing left to do.
     fn maybe_retire(&mut self, now: SimTime, host: usize) {
+        let slot = &self.hosts[host];
+        if slot.state == HostState::Draining && slot.sim().is_quiescent() {
+            self.set_state(now, host, HostState::Retired);
+        }
+    }
+
+    /// Moves `host` to `state`, keeping the Active index list in step.
+    /// A host that stops (Retired or Failed) is finished right away: it
+    /// will never handle another event, so its result is final, and
+    /// dropping it frees its VMs and memmap for the rest of the run.
+    fn set_state(&mut self, now: SimTime, host: usize, state: HostState) {
         let slot = &mut self.hosts[host];
-        if slot.state == HostState::Draining && slot.sim.is_quiescent() {
-            slot.state = HostState::Retired;
+        if slot.state == HostState::Active {
+            let at = self.active.binary_search(&host).expect("active host");
+            self.active.remove(at);
+        }
+        if state == HostState::Active {
+            let at = self.active.binary_search(&host).unwrap_err();
+            self.active.insert(at, host);
+        }
+        slot.state = state;
+        if matches!(state, HostState::Retired | HostState::Failed) {
             slot.stop_at = Some(now);
+            let sim = slot.sim.take().expect("a host stops once");
+            slot.result = Some(sim.finish());
         }
     }
 
@@ -934,17 +995,15 @@ impl FleetSim {
         let Some(victim) = self.injector.pick_victim(&candidates) else {
             return;
         };
-        // Flush completions that happened before the crash.
-        self.drain_tap(victim);
-        let slot = &mut self.hosts[victim];
-        slot.state = HostState::Failed;
-        slot.stop_at = Some(now);
         self.crashes += 1;
+        let sim = self.hosts[victim].sim_mut();
         // In-flight executions die with the host.
-        self.lost += slot.sim.busy_instances() as u64;
+        self.lost += sim.busy_instances() as u64;
+        let queued = sim.drain_queued_requests();
+        self.set_state(now, victim, HostState::Failed);
         // Queued requests are re-routed to the survivors, as a client
         // retry would: their latency clocks restart at the crash.
-        for (vm, dep) in slot.sim.drain_queued_requests() {
+        for (vm, dep) in queued {
             let tenant = self.tenant_of_slot[vm][dep];
             assert_ne!(tenant, usize::MAX, "queued request belongs to a tenant");
             self.requeued += 1;
@@ -956,8 +1015,8 @@ impl FleetSim {
     // --- Accounting --------------------------------------------------------
 
     fn push_active_count(&mut self, now: SimTime) {
-        let active = self.count(HostState::Active);
-        self.active_hosts_over_time.push(now, active as f64);
+        self.active_hosts_over_time
+            .push(now, self.active.len() as f64);
     }
 }
 

@@ -20,8 +20,8 @@
 //!   with cheaper cold starts meets the same SLO with fewer hosts.
 //!
 //! [`FixedFleet`] disables the loop entirely ([`AutoscalePolicy::period_s`]
-//! returns `None`), which is the mode the `FleetSim ≡ ClusterSim`
-//! equivalence property runs in.
+//! returns `None`), which is how clusters and the single host run on
+//! the fleet engine.
 
 use workloads::FunctionKind;
 
@@ -117,8 +117,8 @@ pub trait AutoscalePolicy {
     fn name(&self) -> &'static str;
 
     /// Control-loop period in seconds. `None` disables the loop — no
-    /// tick events are ever scheduled, which keeps a fixed fleet's
-    /// event stream byte-identical to [`crate::ClusterSim`]'s.
+    /// tick events are ever scheduled, so a fixed fleet's queue holds
+    /// only host events. The fleet reads this once, when it is built.
     fn period_s(&self) -> Option<f64>;
 
     /// One control tick.
@@ -133,8 +133,7 @@ pub trait AutoscalePolicy {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PolicyKind {
     /// Frozen fleet — the static peak-capacity baseline every elastic
-    /// policy is judged against (and the `FleetSim ≡ ClusterSim`
-    /// equivalence mode).
+    /// policy is judged against (and how clusters run).
     Fixed,
     TargetUtil,
     QueueDepth,

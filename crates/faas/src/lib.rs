@@ -8,30 +8,33 @@
 //!   HarvestVM-opts, Squeezy, Squeezy+soft — each in its own module
 //!   behind one `ElasticityBackend` trait (plug/scale-up cost,
 //!   reclaim-on-evict, pressure/revocation hooks).
-//! * **Host layer** ([`sim`]): one host's backend-agnostic event loop —
-//!   a controller routes invocations to per-VM agents that reuse warm
-//!   instances, scale up with memory plugs, keep idle instances alive
-//!   and scale down with memory reclamation. [`FaasSim`] drives a
-//!   single host, the paper's deployment.
-//! * **Cluster layer** ([`cluster`]): [`ClusterSim`] runs N hosts under
-//!   one event engine with a pluggable [`Router`] (round-robin,
-//!   least-loaded, warm-affinity, power-of-two-choices); with one host
-//!   and the [`cluster::SingleHost`] router it reproduces [`FaasSim`]
-//!   byte-for-byte.
-//! * **Fleet layer** ([`fleet`]): [`FleetSim`] puts a control plane
-//!   over the cluster data plane — host lifecycle
+//! * **Host layer** ([`sim`]): one host's backend-agnostic event
+//!   handlers — a controller routes invocations to per-VM agents that
+//!   reuse warm instances, scale up with memory plugs, keep idle
+//!   instances alive and scale down with memory reclamation.
+//! * **Cluster layer** ([`cluster`]): the pluggable [`Router`]s
+//!   (round-robin, least-loaded, warm-affinity, power-of-two-choices)
+//!   that spread tenant traffic over hosts, and the [`ClusterConfig`]
+//!   of a fixed host set.
+//! * **Fleet layer** ([`fleet`]): [`FleetSim`], the one event engine.
+//!   It runs N hosts on a shared queue, routes at pop time, and adds a
+//!   control plane — host lifecycle
 //!   (Booting → Active → Draining → Retired, plus injected Failed),
 //!   pluggable [`AutoscalePolicy`]s (target-utilization, queue-depth,
 //!   SLAM-style SLO-aware), graceful drains and seeded failure
-//!   injection. With a fixed fleet it reproduces [`ClusterSim`]
-//!   byte-for-byte.
+//!   injection.
+//!
+//! Every topology runs on that engine: a cluster is a fixed fleet
+//! ([`FleetConfig::fixed`] under [`FixedFleet`]), and [`FaasSim`] —
+//! the paper's single-host deployment — is a one-host fixed fleet
+//! behind the [`SingleHost`] router.
 //!
 //! The **scenario front door** ([`scenario`]) sits above all four:
 //! a declarative, serializable [`Scenario`] spec names a workload, a
-//! topology, backends, a router, a policy and SLOs, and
-//! [`Scenario::run`] dispatches to the right simulator — every layer
-//! gains a `from_scenario` constructor and every experiment becomes a
-//! data change.
+//! topology, backends, a router, a policy and SLOs;
+//! [`FleetConfig::from_scenario`] builds the fleet for any topology and
+//! [`Scenario::run`] returns one unified result — every experiment is
+//! a data change.
 //!
 //! Also provides the 1:1 microVM cold-start model for the Figure-11
 //! comparison.
@@ -48,8 +51,8 @@ pub mod scenario;
 pub mod sim;
 
 pub use cluster::{
-    ClusterConfig, ClusterResult, ClusterSim, HostLoad, LeastLoaded, PowerOfTwoChoices, RoundRobin,
-    Router, RouterKind, SingleHost, TenantTrace, WarmAffinity, LATENCY_RESERVOIR_CAP,
+    ClusterConfig, HostLoad, LeastLoaded, PowerOfTwoChoices, RoundRobin, Router, RouterKind,
+    SingleHost, TenantTrace, WarmAffinity, LATENCY_RESERVOIR_CAP,
 };
 pub use config::{BackendKind, Deployment, HarvestConfig, SimConfig, VmSpec};
 pub use fleet::{

@@ -1,13 +1,12 @@
-//! The declarative scenario API: one front door to all three
-//! simulators.
+//! The declarative scenario API: one front door to every topology.
 //!
 //! A [`Scenario`] names everything an experiment needs — a workload
 //! from the [`workloads::registry`], a topology
 //! ([`Topology::SingleVm`] | [`Topology::Cluster`] | [`Topology::Fleet`]),
 //! an elasticity backend per host (or a sweep list of them), a router,
 //! an autoscale policy, SLOs, duration/seed/trials — and
-//! [`Scenario::run`] dispatches to [`crate::FaasSim`],
-//! [`crate::ClusterSim`] or [`crate::FleetSim`] and returns one unified
+//! [`Scenario::run`] runs every topology as a [`crate::FleetSim`]
+//! built by [`FleetConfig::from_scenario`] and returns one unified
 //! [`ScenarioResult`]. Every future experiment becomes a data change:
 //! a spec file (see [`Scenario::parse`] / [`Scenario::render`] for the
 //! line-oriented `key = value` format) instead of another ~100 lines
@@ -21,7 +20,8 @@
 //!   plans (paired comparison), and
 //! * `Scenario::run_trial` is byte-identical to a hand-built
 //!   `SimConfig`/`ClusterConfig`/`FleetConfig` — the
-//!   `scenario_equivalence` tests pin all three topologies.
+//!   `scenario_equivalence` tests pin all three topologies, and
+//!   `topology_golden` pins every committed spec's digest.
 
 mod compare;
 mod expect;
@@ -38,10 +38,10 @@ use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
 use sim_core::DetRng;
 use workloads::{FunctionKind, TenantLoad, WorkloadKind, WorkloadParams};
 
-use crate::cluster::RouterKind;
+use crate::cluster::{Router, RouterKind, SingleHost};
 use crate::config::{BackendKind, HarvestConfig, SimConfig};
-use crate::fleet::{default_slos, PolicyKind};
-use crate::{ClusterConfig, ClusterSim, FaasSim, FleetConfig, FleetSim};
+use crate::fleet::{default_slos, AutoscalePolicy, FixedFleet, PolicyKind};
+use crate::{FleetConfig, FleetSim};
 
 /// Derivation tag of the tenant-trace stream: traces depend on
 /// `(seed, trial)` only, never on the backend or router under test.
@@ -125,14 +125,16 @@ impl PartialEq<WorkloadKind> for WorkloadSpec {
     }
 }
 
-/// Which simulator a scenario runs on.
+/// The host set a scenario runs on. Every topology runs on
+/// [`crate::FleetSim`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Topology {
-    /// One host driven by [`crate::FaasSim`] (the paper's deployment).
+    /// One host, the paper's deployment (what [`crate::FaasSim`]
+    /// runs).
     SingleVm,
-    /// `n` hosts under one event engine ([`crate::ClusterSim`]).
+    /// `n` hosts behind a router, a fixed fleet.
     Cluster(usize),
-    /// An elastic host set with a control plane ([`crate::FleetSim`]).
+    /// An elastic host set with a control plane.
     Fleet,
 }
 
@@ -460,9 +462,9 @@ impl Scenario {
             .seed()
     }
 
-    /// The per-host base config every multi-host topology clones:
-    /// deployment slots for each tenant, arrivals left empty (the
-    /// cluster/fleet owns the traces).
+    /// The per-host base config every topology clones: deployment
+    /// slots for each tenant, arrivals left empty (the fleet's tenant
+    /// traces own them).
     pub(crate) fn host_config(
         &self,
         tenants: &[TenantLoad],
@@ -511,7 +513,15 @@ impl Scenario {
         slos
     }
 
-    /// Runs one `(backend, trial)` cell on the topology's simulator.
+    /// Runs one `(backend, trial)` cell on the fleet engine.
+    ///
+    /// Every topology is one [`FleetConfig::from_scenario`] run through
+    /// [`FleetSim`]: a single VM behind the [`SingleHost`] router, a
+    /// cluster behind the spec's router, both under the
+    /// [`FixedFleet`] policy, and a fleet under the spec's router and
+    /// policy. A `trace(<path>)` workload streams from the file —
+    /// never materialized, metrics bounded. `offered` is the number of
+    /// arrivals the feed injected within the duration.
     ///
     /// This is the composable core [`Scenario::run`] loops over; grid
     /// experiments (`bench::cluster`, `bench::fleet`) call it directly
@@ -521,79 +531,27 @@ impl Scenario {
     ///
     /// Panics if a host fails to boot (e.g. `host_capacity` smaller
     /// than the VMs' boot memory) — the same contract as constructing
-    /// the simulators by hand.
+    /// the simulator by hand.
     pub fn run_trial(&self, backend: BackendKind, trial: u64) -> ScenarioOutcome {
-        if let WorkloadSpec::Trace(path) = &self.workload {
-            return self.run_trace_trial(path, backend, trial);
-        }
-        let duration_s = self.params.duration_s;
-        let offered_of = |arrivals: &[f64]| arrivals.iter().filter(|&&a| a < duration_s).count();
-        match self.topology {
-            Topology::SingleVm => {
-                let cfg = SimConfig::from_scenario(self, backend, trial);
-                let offered: usize = cfg
-                    .vms
-                    .iter()
-                    .flat_map(|v| &v.deployments)
-                    .map(|d| offered_of(&d.arrivals))
-                    .sum();
-                let result = FaasSim::new(cfg).expect("scenario host boots").run();
-                ScenarioOutcome::from_sim(backend, trial, offered as u64, result)
+        let cfg = FleetConfig::from_scenario(self, backend, trial);
+        let router: Box<dyn Router> = match self.topology {
+            Topology::SingleVm => Box::new(SingleHost),
+            _ => self.router.build(self.router_seed(trial)),
+        };
+        let policy: Box<dyn AutoscalePolicy> = match self.topology {
+            Topology::Fleet => self.policy.build(),
+            _ => Box::new(FixedFleet),
+        };
+        let sim = match &self.workload {
+            WorkloadSpec::Named(_) => FleetSim::new(cfg, router, policy),
+            WorkloadSpec::Trace(path) => {
+                let source = workloads::open_trace(path, trial)
+                    .unwrap_or_else(|e| panic!("trace {path}: {e}"));
+                FleetSim::with_source(cfg, router, policy, source, path)
             }
-            Topology::Cluster(_) => {
-                let cfg = ClusterConfig::from_scenario(self, backend, trial);
-                let offered: usize = cfg.tenants.iter().map(|t| offered_of(&t.arrivals)).sum();
-                let router = self.router.build(self.router_seed(trial));
-                let result = ClusterSim::new(cfg, router)
-                    .expect("scenario hosts boot")
-                    .run();
-                ScenarioOutcome::from_cluster(backend, trial, offered as u64, result)
-            }
-            Topology::Fleet => {
-                let cfg = FleetConfig::from_scenario(self, backend, trial);
-                let offered: usize = cfg.tenants.iter().map(|t| offered_of(&t.arrivals)).sum();
-                let router = self.router.build(self.router_seed(trial));
-                let result = FleetSim::new(cfg, router, self.policy.build())
-                    .expect("scenario fleet boots")
-                    .run();
-                ScenarioOutcome::from_fleet(backend, trial, offered as u64, result)
-            }
-        }
-    }
-
-    /// One `(backend, trial)` cell of a `trace(<path>)` workload: the
-    /// same topology dispatch as the named path, but arrivals stream
-    /// from the file through the simulators' `with_source` ctors —
-    /// never materialized, metrics bounded. `offered` is the number of
-    /// arrivals the feed actually injected within the duration.
-    fn run_trace_trial(&self, path: &str, backend: BackendKind, trial: u64) -> ScenarioOutcome {
-        let source =
-            workloads::open_trace(path, trial).unwrap_or_else(|e| panic!("trace {path}: {e}"));
-        match self.topology {
-            Topology::SingleVm => {
-                let cfg = SimConfig::from_scenario(self, backend, trial);
-                let (result, injected) = FaasSim::with_source(cfg, source, path)
-                    .expect("scenario host boots")
-                    .run_counted();
-                ScenarioOutcome::from_sim(backend, trial, injected, result)
-            }
-            Topology::Cluster(_) => {
-                let cfg = ClusterConfig::from_scenario(self, backend, trial);
-                let router = self.router.build(self.router_seed(trial));
-                let result = ClusterSim::with_source(cfg, router, source, path)
-                    .expect("scenario hosts boot")
-                    .run();
-                ScenarioOutcome::from_cluster(backend, trial, result.injected, result)
-            }
-            Topology::Fleet => {
-                let cfg = FleetConfig::from_scenario(self, backend, trial);
-                let router = self.router.build(self.router_seed(trial));
-                let result = FleetSim::with_source(cfg, router, self.policy.build(), source, path)
-                    .expect("scenario fleet boots")
-                    .run();
-                ScenarioOutcome::from_fleet(backend, trial, result.injected, result)
-            }
-        }
+        };
+        let result = sim.expect("scenario hosts boot").run();
+        ScenarioOutcome::new(self.topology, backend, trial, result)
     }
 
     /// Runs the whole scenario — every backend of the sweep × every

@@ -1,5 +1,5 @@
-//! The unified result every scenario run returns, whatever simulator
-//! ran it.
+//! The unified result every scenario run returns, whatever its
+//! topology.
 //!
 //! One [`ScenarioOutcome`] per `(backend, trial)` cell: request
 //! accounting, merged latency histograms, memory footprint, and the
@@ -15,10 +15,8 @@ use sim_core::{Fnv1a, Histogram, Reservoir, TextTable};
 use workloads::FunctionKind;
 
 use super::{Scenario, Topology};
-use crate::cluster::ClusterResult;
 use crate::config::BackendKind;
 use crate::fleet::FleetResult;
-use crate::metrics::SimResult;
 
 /// Control-plane numbers only a fleet run produces.
 #[derive(Clone, Copy, Debug)]
@@ -80,74 +78,25 @@ pub struct ScenarioOutcome {
     pub routed_per_host: Option<Vec<u64>>,
     /// Control-plane numbers. Absent outside the fleet topology.
     pub fleet: Option<FleetStats>,
-    /// Per-host [`SimResult::digest`]s, in host order — the
+    /// Per-host [`crate::SimResult::digest`]s, in host order — the
     /// byte-identity anchor the equivalence tests compare.
     pub host_digests: Vec<u64>,
 }
 
 impl ScenarioOutcome {
-    pub(crate) fn from_sim(
+    /// Summarizes one fleet-engine run of `topology`, leaving out what
+    /// that topology never reported: a single VM has no reservoir and
+    /// no routing table, and only a fleet has control-plane numbers.
+    /// `offered` is the arrivals the feed injected.
+    pub(crate) fn new(
+        topology: Topology,
         backend: BackendKind,
         trial: u64,
-        offered: u64,
-        result: SimResult,
-    ) -> ScenarioOutcome {
-        let latency = result
-            .per_func
-            .iter()
-            .map(|(&kind, m)| (kind, m.latency.clone()))
-            .collect();
-        let (cold, warm) = result
-            .per_func
-            .values()
-            .fold((0, 0), |(c, w), m| (c + m.cold_starts, w + m.warm_starts));
-        ScenarioOutcome {
-            backend,
-            trial,
-            offered,
-            completed: result.completed,
-            cold_starts: cold,
-            warm_starts: warm,
-            gib_seconds: result.gib_seconds(),
-            latency,
-            latency_over_time: None,
-            routed_per_host: None,
-            fleet: None,
-            host_digests: vec![result.digest()],
-        }
-    }
-
-    pub(crate) fn from_cluster(
-        backend: BackendKind,
-        trial: u64,
-        offered: u64,
-        result: ClusterResult,
-    ) -> ScenarioOutcome {
-        let (cold, warm) = result.cold_warm_starts();
-        ScenarioOutcome {
-            backend,
-            trial,
-            offered,
-            completed: result.completed,
-            cold_starts: cold,
-            warm_starts: warm,
-            gib_seconds: result.total_gib_seconds(),
-            latency: result.merged_latency(),
-            routed_per_host: Some(result.routed_per_host()),
-            host_digests: result.hosts.iter().map(SimResult::digest).collect(),
-            latency_over_time: Some(result.latency_over_time),
-            fleet: None,
-        }
-    }
-
-    pub(crate) fn from_fleet(
-        backend: BackendKind,
-        trial: u64,
-        offered: u64,
         result: FleetResult,
     ) -> ScenarioOutcome {
         let (cold, warm) = result.cold_warm_starts();
-        let stats = FleetStats {
+        let multi_host = topology != Topology::SingleVm;
+        let fleet = (topology == Topology::Fleet).then(|| FleetStats {
             host_hours: result.host_hours(),
             slo_violations: result.slo_violations,
             slo_total: result.slo_total,
@@ -159,26 +108,26 @@ impl ScenarioOutcome {
             deferred: result.deferred,
             min_active: result.min_active(),
             peak_active: result.peak_active(),
-        };
+        });
         ScenarioOutcome {
             backend,
             trial,
-            offered,
+            offered: result.injected,
             completed: result.completed,
             cold_starts: cold,
             warm_starts: warm,
             gib_seconds: result.total_gib_seconds(),
             latency: result.merged_latency(),
-            routed_per_host: Some(
+            routed_per_host: multi_host.then(|| {
                 result
                     .routed
                     .iter()
                     .map(|per_tenant| per_tenant.iter().sum())
-                    .collect(),
-            ),
+                    .collect()
+            }),
             host_digests: result.hosts.iter().map(|h| h.result.digest()).collect(),
-            latency_over_time: Some(result.latency_over_time),
-            fleet: Some(stats),
+            latency_over_time: multi_host.then_some(result.latency_over_time),
+            fleet,
         }
     }
 

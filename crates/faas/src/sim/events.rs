@@ -1,14 +1,12 @@
-//! The event vocabulary of the host runtime and the sink the handlers
-//! schedule into.
+//! The event vocabulary of one host's runtime.
 //!
-//! Handlers never own the queue: [`FaasSim`](crate::FaasSim) hands them
-//! its private [`EventQueue`], while the cluster simulator hands them a
-//! tagging adapter that wraps the same events into its shared
-//! multi-host queue. Either way scheduling order — and therefore the
-//! queue's FIFO tie-breaking — is identical, which is what makes the
-//! one-host cluster byte-identical to the single-host simulator.
+//! Handlers never own the queue: the fleet engine hands them a
+//! [`HostSink`](crate::fleet::HostSink) that tags each [`Event`] with
+//! its host and pushes it into the one shared queue, so every topology
+//! — one host, a fixed cluster, an elastic fleet — schedules through
+//! the same path.
 
-use sim_core::{EventQueue, SimTime};
+use sim_core::SimTime;
 
 /// Events driving one host's simulation.
 #[derive(Clone, Copy, Debug)]
@@ -36,16 +34,4 @@ pub(crate) enum Work {
     FunctionInit { inst: u64 },
     Exec { inst: u64, arrival: SimTime },
     ReclaimKthread { token: u64 },
-}
-
-/// Where host handlers schedule future events.
-pub(crate) trait EventSink {
-    /// Schedules `ev` at absolute time `at`.
-    fn push(&mut self, at: SimTime, ev: Event);
-}
-
-impl EventSink for EventQueue<Event> {
-    fn push(&mut self, at: SimTime, ev: Event) {
-        EventQueue::push(self, at, ev);
-    }
 }

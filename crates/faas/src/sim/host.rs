@@ -7,9 +7,10 @@
 //! never dispatches on `BackendKind` — all backend behavior goes
 //! through the [`ElasticityBackend`] hooks.
 //!
-//! The loop is driven externally: [`crate::FaasSim`] pumps a private
-//! event queue for one host; [`crate::ClusterSim`] pumps a shared
-//! queue for many.
+//! The loop is driven externally by [`crate::FleetSim`], which hands
+//! every handler a [`HostSink`]: follow-up events go into the fleet's
+//! shared queue and each completed request goes straight to the
+//! fleet's latency accounting.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -23,8 +24,9 @@ use workloads::FunctionKind;
 use crate::backend::{self, ElasticityBackend, PlugStart, RebuildStart, ReclaimStart};
 use crate::cluster::HostLoad;
 use crate::config::SimConfig;
+use crate::fleet::HostSink;
 use crate::metrics::{FuncMetrics, ReclaimTotals, SimResult};
-use crate::sim::events::{Event, EventSink, Work};
+use crate::sim::events::{Event, Work};
 use crate::sim::instance::{InstState, Instance, PendingReclaim};
 
 const EPS_CPU: f64 = 1e-9;
@@ -103,10 +105,6 @@ pub(crate) struct HostSim {
     /// steady-state completion path does not allocate).
     finished_scratch: Vec<(TaskId, Work)>,
     rng: DetRng,
-    /// When set, completed requests are also appended to
-    /// `recent_latencies` for the cluster/fleet drivers to drain.
-    latency_tap: bool,
-    recent_latencies: Vec<(FunctionKind, f64, f64)>,
     /// Bounded-metrics mode (streamed trace replays): per-function
     /// histograms become capped reservoirs and the memory/instance
     /// time series stay empty, with the host-usage integral tracked
@@ -205,8 +203,6 @@ impl HostSim {
             completed: 0,
             finished_scratch: Vec::new(),
             rng,
-            latency_tap: false,
-            recent_latencies: Vec::new(),
             bounded_metrics: false,
             usage_last: None,
             usage_acc: 0.0,
@@ -247,7 +243,7 @@ impl HostSim {
     }
 
     /// Handles one event at time `now`, scheduling follow-ups into `q`.
-    pub fn handle(&mut self, now: SimTime, ev: Event, q: &mut dyn EventSink) {
+    pub fn handle(&mut self, now: SimTime, ev: Event, q: &mut HostSink<'_>) {
         match ev {
             Event::Arrival { vm, dep } => self.on_arrival(now, vm, dep, q),
             Event::CpuDone { vm, gen } => {
@@ -322,7 +318,7 @@ impl HostSim {
 
     /// The single [`HostLoad`] constructor: one deterministic snapshot
     /// of this host, taken for the arriving tenant's `(vm, dep)` slot.
-    /// Routers (via the cluster/fleet drivers) and the fleet autoscaler
+    /// Routers (via the fleet engine) and the fleet autoscaler
     /// (via [`Self::total_load`]) both read host load through here, so
     /// the two control planes can never disagree on what "load" means.
     pub fn load_snapshot(&self, vm: usize, dep: usize) -> HostLoad {
@@ -371,26 +367,6 @@ impl HostSim {
 
     // --- Fleet lifecycle hooks --------------------------------------------
 
-    /// Turns on the latency tap: every completed request is also pushed
-    /// to a drainable buffer. The cluster/fleet drivers enable this to
-    /// feed bounded reservoirs and SLO accounting; the buffer is not
-    /// part of [`SimResult`], so tapping never perturbs digests.
-    pub fn enable_latency_tap(&mut self) {
-        self.latency_tap = true;
-    }
-
-    /// Drains `(kind, arrival_s, latency_ms)` completions recorded
-    /// since the last drain.
-    pub fn recent_latencies(&self) -> &[(FunctionKind, f64, f64)] {
-        &self.recent_latencies
-    }
-
-    /// Forgets the drained latencies, keeping the buffer's capacity so
-    /// the steady-state completion path never reallocates it.
-    pub fn clear_recent_latencies(&mut self) {
-        self.recent_latencies.clear();
-    }
-
     /// `true` when the host holds no queued requests, no instances, no
     /// CPU work and no in-flight reclaims — a draining host in this
     /// state can retire without losing anything.
@@ -429,7 +405,7 @@ impl HostSim {
 
     // --- Event handlers ---------------------------------------------------
 
-    fn on_arrival(&mut self, now: SimTime, vm: usize, dep: usize, q: &mut dyn EventSink) {
+    fn on_arrival(&mut self, now: SimTime, vm: usize, dep: usize, q: &mut HostSink<'_>) {
         self.sync_pool(vm, now);
         let kind = self.dep_kind(vm, dep);
         if let Some(inst) = self.vms[vm].idle_instance_of(dep) {
@@ -443,7 +419,7 @@ impl HostSim {
         self.reschedule_cpu(vm, now, q);
     }
 
-    fn on_cpu_done(&mut self, now: SimTime, vm: usize, gen: u64, q: &mut dyn EventSink) {
+    fn on_cpu_done(&mut self, now: SimTime, vm: usize, gen: u64, q: &mut HostSink<'_>) {
         if self.vms[vm].pool_gen != gen {
             return; // Stale completion prediction.
         }
@@ -485,7 +461,7 @@ impl HostSim {
         self.reschedule_cpu(vm, now, q);
     }
 
-    fn on_plug_done(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut dyn EventSink) {
+    fn on_plug_done(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut HostSink<'_>) {
         self.sync_pool(vm, now);
         let res = self
             .backend
@@ -499,7 +475,7 @@ impl HostSim {
         self.reschedule_cpu(vm, now, q);
     }
 
-    fn on_keepalive(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut dyn EventSink) {
+    fn on_keepalive(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut HostSink<'_>) {
         self.sync_pool(vm, now);
         let expired = match self.vms[vm].instances.get(&inst) {
             Some(i) => {
@@ -531,7 +507,7 @@ impl HostSim {
         self.reschedule_cpu(vm, now, q);
     }
 
-    fn on_reclaim_done(&mut self, now: SimTime, vm: usize, token: u64, q: &mut dyn EventSink) {
+    fn on_reclaim_done(&mut self, now: SimTime, vm: usize, token: u64, q: &mut HostSink<'_>) {
         self.sync_pool(vm, now);
         if let Some(p) = self.pending_reclaims.remove(&(vm, token)) {
             self.host.release(p.host_bytes);
@@ -564,7 +540,7 @@ impl HostSim {
         self.reschedule_cpu(vm, now, q);
     }
 
-    fn on_sample(&mut self, now: SimTime, q: &mut dyn EventSink) {
+    fn on_sample(&mut self, now: SimTime, q: &mut HostSink<'_>) {
         // Safety net for queues whose deployment has no instance left and
         // no reclaim in flight: retry their scale-ups periodically.
         self.retry_scale_ups(now, q);
@@ -591,7 +567,7 @@ impl HostSim {
 
     // --- Scale-up path ------------------------------------------------------
 
-    fn maybe_scale_up(&mut self, now: SimTime, vm: usize, dep: usize, q: &mut dyn EventSink) {
+    fn maybe_scale_up(&mut self, now: SimTime, vm: usize, dep: usize, q: &mut HostSink<'_>) {
         loop {
             let queued = self.vms[vm].queues[dep].len();
             let starting = self.vms[vm].starting_of(dep);
@@ -623,7 +599,7 @@ impl HostSim {
 
     /// Wakes a hollow (soft-revoked) instance through the backend's
     /// rebuild hook.
-    fn rebuild_instance(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut dyn EventSink) {
+    fn rebuild_instance(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut HostSink<'_>) {
         let pid = self.vms[vm].instances[&inst].pid;
         match self.backend.rebuild(vm, &mut self.vms[vm], pid, &self.cost) {
             RebuildStart::Replug { latency } => {
@@ -648,7 +624,7 @@ impl HostSim {
     /// carry "the memory size pre-defined by the user"). May trigger
     /// backend revocations or evictions and return `false` (the
     /// scale-up is retried on reclaim completions).
-    fn admit(&mut self, now: SimTime, vm: usize, dep: usize, q: &mut dyn EventSink) -> bool {
+    fn admit(&mut self, now: SimTime, vm: usize, dep: usize, q: &mut HostSink<'_>) -> bool {
         let estimate = align_up_to_block(self.dep_kind(vm, dep).profile().memory_limit.bytes());
         // Backend-held reserves (HarvestVM's slack buffer) first.
         if self.backend.admit_from_reserve(&mut self.host, estimate) {
@@ -705,7 +681,7 @@ impl HostSim {
         best.map(|(v, id, _)| (v, id))
     }
 
-    fn retry_scale_ups(&mut self, now: SimTime, q: &mut dyn EventSink) {
+    fn retry_scale_ups(&mut self, now: SimTime, q: &mut HostSink<'_>) {
         for vi in 0..self.vms.len() {
             self.sync_pool(vi, now);
             for di in 0..self.vms[vi].queues.len() {
@@ -727,7 +703,7 @@ impl HostSim {
         now: SimTime,
         vm: usize,
         dep: usize,
-        q: &mut dyn EventSink,
+        q: &mut HostSink<'_>,
     ) -> bool {
         let kind = self.dep_kind(vm, dep);
         let profile = kind.profile();
@@ -839,7 +815,7 @@ impl HostSim {
         self.vms[vm].work.insert(tid, Work::FunctionInit { inst });
     }
 
-    fn on_instance_warm(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut dyn EventSink) {
+    fn on_instance_warm(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut HostSink<'_>) {
         let dep = {
             let Some(i) = self.vms[vm].instances.get_mut(&inst) else {
                 return;
@@ -912,7 +888,7 @@ impl HostSim {
         vm: usize,
         inst: u64,
         arrival: SimTime,
-        q: &mut dyn EventSink,
+        q: &mut HostSink<'_>,
     ) {
         let dep = {
             let i = self.vms[vm].instances.get_mut(&inst).expect("exec owner");
@@ -923,10 +899,7 @@ impl HostSim {
         self.mark_idle(vm, inst);
         let kind = self.dep_kind(vm, dep);
         let latency_ms = now.since(arrival).as_millis_f64();
-        if self.latency_tap {
-            self.recent_latencies
-                .push((kind, arrival.as_secs_f64(), latency_ms));
-        }
+        q.complete(kind, arrival.as_secs_f64(), latency_ms);
         let record_points = self.config.record_latency_points;
         let m = self.metrics(kind);
         m.latency.record(latency_ms);
@@ -943,7 +916,7 @@ impl HostSim {
         }
     }
 
-    fn schedule_keepalive(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut dyn EventSink) {
+    fn schedule_keepalive(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut HostSink<'_>) {
         let at = now + SimDuration::from_secs_f64(self.config.keepalive_s);
         q.push(at, Event::KeepAlive { vm, inst });
     }
@@ -958,7 +931,7 @@ impl HostSim {
     // --- Scale-down path ------------------------------------------------------
 
     /// Evicts one instance and starts the backend's reclaim.
-    fn evict_instance(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut dyn EventSink) {
+    fn evict_instance(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut HostSink<'_>) {
         let Some(i) = self.vms[vm].instances.remove(&inst) else {
             return;
         };
@@ -987,7 +960,7 @@ impl HostSim {
     }
 
     /// Launches the backend reclaim for one evicted instance of `dep`.
-    fn start_reclaim(&mut self, now: SimTime, vm: usize, dep: usize, q: &mut dyn EventSink) {
+    fn start_reclaim(&mut self, now: SimTime, vm: usize, dep: usize, q: &mut HostSink<'_>) {
         let kind = self.dep_kind(vm, dep);
         // The runtime resizes by "the function memory requirements
         // (Table 1)" (§6.2): plug and unplug requests are both
@@ -1014,7 +987,7 @@ impl HostSim {
         now: SimTime,
         vm: usize,
         start: ReclaimStart,
-        q: &mut dyn EventSink,
+        q: &mut HostSink<'_>,
     ) {
         match start {
             ReclaimStart::None => {}
@@ -1056,7 +1029,7 @@ impl HostSim {
         }
     }
 
-    fn reschedule_cpu(&mut self, vm: usize, now: SimTime, q: &mut dyn EventSink) {
+    fn reschedule_cpu(&mut self, vm: usize, now: SimTime, q: &mut HostSink<'_>) {
         self.vms[vm].pool_gen += 1;
         let gen = self.vms[vm].pool_gen;
         if let Some((_, t)) = self.vms[vm].pool.next_completion() {

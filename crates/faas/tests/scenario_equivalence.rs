@@ -1,7 +1,9 @@
 //! The scenario front door adds zero behavioral drift: for each of the
 //! three topologies, `Scenario::run_trial` is *byte-identical* to the
 //! same experiment hand-wired through `SimConfig` / `ClusterConfig` /
-//! `FleetConfig` the way the bench harness used to build them.
+//! `FleetConfig` the way the bench harness used to build them, and
+//! run on the fleet engine (a single VM through `FaasSim`, a cluster
+//! as a fixed fleet).
 //!
 //! The hand-built side spells out every seed derivation (trace stream
 //! `0x77`, host seeds `0x40 + h`, template tag `0x3E`, fleet stream
@@ -10,9 +12,9 @@
 //! digests catch it.
 
 use faas::{
-    default_slos, AutoscaleOpts, BackendKind, ClusterConfig, ClusterSim, Deployment, FaasSim,
-    FailureConfig, FleetConfig, FleetSim, HarvestConfig, PolicyKind, PowerOfTwoChoices, RouterKind,
-    Scenario, SimConfig, SimResult, SlamSlo, TenantTrace, Topology, VmSpec, WarmAffinity,
+    default_slos, AutoscaleOpts, BackendKind, ClusterConfig, Deployment, FaasSim, FailureConfig,
+    FixedFleet, FleetConfig, FleetSim, HarvestConfig, PolicyKind, PowerOfTwoChoices, RouterKind,
+    Scenario, SimConfig, SlamSlo, TenantTrace, Topology, VmSpec, WarmAffinity,
 };
 use mem_types::GIB;
 use sim_core::{DetRng, ExpOpts};
@@ -144,17 +146,21 @@ fn cluster_scenario_is_byte_identical_to_hand_built_cluster_config() {
                 .collect(),
             tenants: tenant_traces(&tenants),
         };
-        let hand = ClusterSim::new(hand_cfg, Box::new(WarmAffinity))
-            .expect("boot")
-            .run();
+        // A cluster is a fixed fleet whose own streams are rooted at
+        // host 0's seed.
+        let hand = FleetSim::new(
+            FleetConfig::fixed(hand_cfg, host_seed(spec.seed, 0)),
+            Box::new(WarmAffinity),
+            Box::new(FixedFleet),
+        )
+        .expect("boot")
+        .run();
 
         let out = spec.run_trial(backend, trial);
-        let hand_digests: Vec<u64> = hand.hosts.iter().map(SimResult::digest).collect();
+        let hand_digests: Vec<u64> = hand.hosts.iter().map(|h| h.result.digest()).collect();
         assert_eq!(out.host_digests, hand_digests, "{}", backend.name());
-        assert_eq!(
-            out.routed_per_host.as_deref(),
-            Some(&hand.routed_per_host()[..])
-        );
+        let hand_routed: Vec<u64> = hand.routed.iter().map(|t| t.iter().sum()).collect();
+        assert_eq!(out.routed_per_host.as_deref(), Some(&hand_routed[..]));
         assert_eq!(out.completed, hand.completed);
         assert_eq!(
             out.latency_over_time.as_ref().map(|r| r.sorted_points()),

@@ -20,8 +20,8 @@ use std::fs;
 use std::path::PathBuf;
 
 use faas::{
-    ClusterConfig, ClusterSim, FaasSim, FixedFleet, FleetConfig, FleetSim, RoundRobin, SimConfig,
-    TenantTrace, LATENCY_RESERVOIR_CAP,
+    ClusterConfig, FaasSim, FixedFleet, FleetConfig, FleetSim, RoundRobin, SimConfig, TenantTrace,
+    LATENCY_RESERVOIR_CAP,
 };
 use sim_core::DetRng;
 use workloads::{
@@ -67,6 +67,12 @@ fn host_cfg(tenants: &[TenantLoad], seed: u64, duration_s: f64) -> SimConfig {
     }
 }
 
+/// The two-host cluster as a fixed fleet, its own streams rooted at
+/// host 0's seed.
+fn cluster_fleet(tenants: &[TenantLoad], with_arrivals: bool) -> FleetConfig {
+    FleetConfig::fixed(cluster_cfg(tenants, with_arrivals), 0xE0)
+}
+
 fn cluster_cfg(tenants: &[TenantLoad], with_arrivals: bool) -> ClusterConfig {
     ClusterConfig {
         hosts: (0..2).map(|h| host_cfg(tenants, 0xE0 + h, 90.0)).collect(),
@@ -94,12 +100,17 @@ fn cluster_streamed_replay_matches_the_materialized_path() {
         .map(|t| t.arrivals.iter().filter(|&&a| a < 90.0).count())
         .sum();
 
-    let legacy = ClusterSim::new(cluster_cfg(&tenants, true), Box::new(RoundRobin::default()))
-        .expect("boot")
-        .run();
-    let streamed = ClusterSim::with_source(
-        cluster_cfg(&tenants, false),
+    let legacy = FleetSim::new(
+        cluster_fleet(&tenants, true),
         Box::new(RoundRobin::default()),
+        Box::new(FixedFleet),
+    )
+    .expect("boot")
+    .run();
+    let streamed = FleetSim::with_source(
+        cluster_fleet(&tenants, false),
+        Box::new(RoundRobin::default()),
+        Box::new(FixedFleet),
         Box::new(MaterializedSource::new(tenants.clone())),
         "materialized",
     )
@@ -119,6 +130,7 @@ fn cluster_streamed_replay_matches_the_materialized_path() {
         "the reservoir timeline sees identical completions in identical order"
     );
     for (s, l) in streamed.hosts.iter().zip(&legacy.hosts) {
+        let (s, l) = (&s.result, &l.result);
         assert_eq!(s.completed, l.completed);
         assert!(
             s.host_usage.points().is_empty(),
@@ -266,25 +278,31 @@ fn file_streamed_run_is_byte_identical_to_memory_streamed() {
     }
 
     let tenants = loads.clone();
-    let from_file = ClusterSim::with_source(
-        cluster_cfg(&tenants, false),
+    let from_file = FleetSim::with_source(
+        cluster_fleet(&tenants, false),
         Box::new(RoundRobin::default()),
+        Box::new(FixedFleet),
         workloads::open_trace(&path, 0).expect("trace opens"),
         &path,
     )
     .expect("boot")
     .run();
-    let from_memory = ClusterSim::with_source(
-        cluster_cfg(&tenants, false),
+    let from_memory = FleetSim::with_source(
+        cluster_fleet(&tenants, false),
         Box::new(RoundRobin::default()),
+        Box::new(FixedFleet),
         Box::new(MaterializedSource::new(loads)),
         "materialized",
     )
     .expect("boot")
     .run();
 
-    let df: Vec<u64> = from_file.hosts.iter().map(|h| h.digest()).collect();
-    let dm: Vec<u64> = from_memory.hosts.iter().map(|h| h.digest()).collect();
+    let df: Vec<u64> = from_file.hosts.iter().map(|h| h.result.digest()).collect();
+    let dm: Vec<u64> = from_memory
+        .hosts
+        .iter()
+        .map(|h| h.result.digest())
+        .collect();
     assert_eq!(df, dm, "file and memory streams replay byte-identically");
     assert_eq!(from_file.injected, from_memory.injected);
     assert_eq!(from_file.routed, from_memory.routed);
