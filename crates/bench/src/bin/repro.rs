@@ -12,6 +12,9 @@
 //! repro scenarios
 //! ```
 //!
+//! * `repro cluster` / `repro fleet` — run the committed grids
+//!   `examples/scenarios/cluster_grid.scn` / `fleet_grid.scn` exactly
+//!   as `repro run` would (their `expect.*` gates set the exit code).
 //! * `repro run` — execute scenario spec files (`faas::SweepSpec`
 //!   format; see `examples/scenarios/`) with one report section per
 //!   spec. Specs are parsed and validated up front: a bad file fails
@@ -213,18 +216,32 @@ impl Experiment for Report {
     }
 }
 
-/// Loads, optionally quick-scales, and validates every spec file; any
-/// bad file dies before the first simulation starts. Specs may be
-/// plain scenarios or sweep grids — `SweepSpec::parse` is a strict
+/// The committed grids behind the `cluster` and `fleet` targets,
+/// embedded so the aliases run exactly the files `repro run` would.
+const CLUSTER_GRID: &str = include_str!("../../../../examples/scenarios/cluster_grid.scn");
+const FLEET_GRID: &str = include_str!("../../../../examples/scenarios/fleet_grid.scn");
+
+/// Parses, optionally quick-scales, and validates one spec. Specs may
+/// be plain scenarios or sweep grids — `SweepSpec::parse` is a strict
 /// superset of the scalar format.
+fn load_spec(label: &str, text: &str, quick: bool) -> SweepSpec {
+    let spec = SweepSpec::parse(text).unwrap_or_else(|e| die(&format!("{label}: {e}")));
+    if quick {
+        spec.quick()
+    } else {
+        spec
+    }
+}
+
+/// Loads every spec file; any bad file dies before the first
+/// simulation starts.
 fn load_specs(files: &[String], quick: bool) -> Vec<(String, SweepSpec)> {
     files
         .iter()
         .map(|path| {
             let text = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| die(&format!("reading {path}: {e}")));
-            let spec = SweepSpec::parse(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-            (path.clone(), if quick { spec.quick() } else { spec })
+            (path.clone(), load_spec(path, &text, quick))
         })
         .collect()
 }
@@ -288,24 +305,27 @@ fn main() {
     }
     // Grid outcomes (per-cell results, gate verdicts) are captured out
     // of the render closures for the compare block, the JSON summary
-    // and the gate exit code.
-    let grids: Arc<Mutex<Vec<Option<GridOutcome>>>> =
-        Arc::new(Mutex::new(specs.iter().map(|_| None).collect()));
-    for (i, (path, spec)) in specs.into_iter().enumerate() {
-        let spec_opts = opts;
+    // and the gate exit code; spec files take the first slots, in
+    // order.
+    let grids: Arc<Mutex<Vec<Option<GridOutcome>>>> = Arc::new(Mutex::new(Vec::new()));
+    let grid_section = |label: String, spec: SweepSpec| -> Renderer {
         let grids = grids.clone();
-        add(
-            &path.clone(),
-            true,
-            Box::new(move || {
-                let outcome = spec
-                    .run(&spec_opts)
-                    .unwrap_or_else(|e| die(&format!("{path}: {e}")));
-                let text = outcome.render();
-                grids.lock().expect("grid lock")[i] = Some(outcome);
-                text
-            }),
-        );
+        let slot = {
+            let mut g = grids.lock().expect("grid lock");
+            g.push(None);
+            g.len() - 1
+        };
+        Box::new(move || {
+            let outcome = spec
+                .run(&opts)
+                .unwrap_or_else(|e| die(&format!("{label}: {e}")));
+            let text = outcome.render();
+            grids.lock().expect("grid lock")[slot] = Some(outcome);
+            text
+        })
+    };
+    for (path, spec) in specs {
+        add(&path.clone(), true, grid_section(path, spec));
     }
 
     add(
@@ -448,30 +468,16 @@ fn main() {
         all || args.what == "temporal",
         Box::new(move || bench::temporal::render(&bench::temporal::run_with(&opts))),
     );
-    add(
-        "Cluster",
-        all || args.what == "cluster",
-        Box::new(move || {
-            let cfg = if quick {
-                bench::cluster::ClusterBenchConfig::quick()
-            } else {
-                bench::cluster::ClusterBenchConfig::paper()
-            };
-            bench::cluster::render(&bench::cluster::run_with(&cfg, &opts))
-        }),
-    );
-    add(
-        "Fleet",
-        all || args.what == "fleet",
-        Box::new(move || {
-            let cfg = if quick {
-                bench::fleet::FleetBenchConfig::quick()
-            } else {
-                bench::fleet::FleetBenchConfig::paper()
-            };
-            bench::fleet::render(&bench::fleet::run_with(&cfg, &opts))
-        }),
-    );
+    // `cluster` and `fleet` are aliases for their committed grids.
+    for (name, target, file, text) in [
+        ("Cluster", "cluster", "cluster_grid.scn", CLUSTER_GRID),
+        ("Fleet", "fleet", "fleet_grid.scn", FLEET_GRID),
+    ] {
+        if all || args.what == target {
+            let spec = load_spec(file, text, quick);
+            add(name, true, grid_section(file.to_string(), spec));
+        }
+    }
     // The perf target is wall-time-dependent by design (events/sec),
     // so it is NOT part of `all` — the `all` report stays byte-stable
     // across machines. The cell is captured for the JSON summary.

@@ -8,8 +8,13 @@
 //! ```text
 //! cargo run --release -p squeezy-bench --bin repro -- all
 //! ```
+//!
+//! The fleet-level extensions beyond the paper — the routing × backend
+//! grid and the autoscale-policy × backend grid — are not modules here
+//! but committed spec files, `examples/scenarios/cluster_grid.scn` and
+//! `fleet_grid.scn`, which `repro cluster` and `repro fleet` run through
+//! `faas::SweepSpec::run` like any other spec.
 
-pub mod cluster;
 pub mod fig1;
 pub mod fig10;
 pub mod fig11;
@@ -19,7 +24,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod fleet;
 pub mod fpr;
 pub mod hybrid;
 pub mod perf;

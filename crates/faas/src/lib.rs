@@ -31,10 +31,12 @@
 //!
 //! The **scenario front door** ([`scenario`]) sits above all four:
 //! a declarative, serializable [`Scenario`] spec names a workload, a
-//! topology, backends, a router, a policy and SLOs;
-//! [`FleetConfig::from_scenario`] builds the fleet for any topology and
-//! [`Scenario::run`] returns one unified result — every experiment is
-//! a data change.
+//! topology, backends, a router, a policy and SLOs, and a [`SweepSpec`]
+//! adds sweep axes and `expect.*` gates. [`FleetConfig::from_scenario`]
+//! builds the fleet for any topology and [`SweepSpec::run`], the one
+//! driver, runs every cell and renders one results table — every
+//! experiment, the committed routing and autoscaling grids included,
+//! is a spec file.
 //!
 //! Also provides the 1:1 microVM cold-start model for the Figure-11
 //! comparison.

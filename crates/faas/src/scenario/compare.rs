@@ -14,7 +14,8 @@
 use sim_core::stats::{bootstrap_diff_ci, mean, welch, welch_ci, Welch};
 use sim_core::{DetRng, TextTable};
 
-use super::{ScenarioOutcome, ScenarioResult};
+use super::result::{metric_samples, Sample};
+use super::ScenarioResult;
 use crate::config::BackendKind;
 
 /// Two-sided significance level of the `Verdict` column.
@@ -29,51 +30,6 @@ const BOOT_ITERS: usize = 1000;
 /// Derivation tag of the bootstrap resampling stream — outside every
 /// simulation stream tag, so comparison never perturbs results.
 const BOOT_STREAM: u64 = 0xB007;
-
-/// Metrics compared per backend: name, higher-is-worse, per-trial
-/// samples. Fleet metrics appear only when every trial carries them.
-fn metric_samples(trials: &[ScenarioOutcome]) -> Vec<(&'static str, bool, Vec<f64>)> {
-    let quantiles = |q: f64| -> Vec<f64> {
-        trials
-            .iter()
-            .map(|t| t.merged_latency().quantile(q))
-            .collect()
-    };
-    let mut out = vec![
-        (
-            "served",
-            false,
-            trials
-                .iter()
-                .map(|t| t.completed as f64)
-                .collect::<Vec<f64>>(),
-        ),
-        ("p50_ms", true, quantiles(0.5)),
-        ("p99_ms", true, quantiles(0.99)),
-        (
-            "cold_pct",
-            true,
-            trials.iter().map(|t| 100.0 * t.cold_ratio()).collect(),
-        ),
-        (
-            "gib_s",
-            true,
-            trials.iter().map(|t| t.gib_seconds).collect(),
-        ),
-    ];
-    if trials.iter().all(|t| t.fleet.is_some()) {
-        let f = |get: fn(&super::FleetStats) -> f64| -> Vec<f64> {
-            trials
-                .iter()
-                .map(|t| get(t.fleet.as_ref().expect("checked above")))
-                .collect()
-        };
-        out.push(("slo_viol_pct", true, f(|s| 100.0 * s.slo_violation_rate())));
-        out.push(("host_hours", true, f(|s| s.host_hours)));
-        out.push(("lost", true, f(|s| s.lost as f64)));
-    }
-    out
-}
 
 /// One metric's A-vs-B difference with its inference.
 pub struct MetricDiff {
@@ -145,11 +101,7 @@ pub struct CompareReport {
 }
 
 /// Diffs two metric-sample sets (positionally matched by name).
-fn diff_samples(
-    sa: &[(&'static str, bool, Vec<f64>)],
-    sb: &[(&'static str, bool, Vec<f64>)],
-    rng: &DetRng,
-) -> Vec<MetricDiff> {
+fn diff_samples(sa: &[Sample], sb: &[Sample], rng: &DetRng) -> Vec<MetricDiff> {
     let mut diffs = Vec::new();
     for (mi, &(name, higher_is_worse, ref xs)) in sa.iter().enumerate() {
         let Some((_, _, ys)) = sb.iter().find(|&&(n, _, _)| n == name) else {

@@ -12,6 +12,7 @@
 use sim_core::experiment::mean_over;
 use sim_core::{registry, TextTable};
 
+use super::result::{metric_samples, sample_mean, Sample};
 use super::{Scenario, ScenarioOutcome, ScenarioResult, Topology};
 
 /// Every behavioral gate a spec may declare. All are ceilings
@@ -88,37 +89,22 @@ impl ExpectKind {
         matches!(self, ExpectKind::CompletionMin)
     }
 
-    /// The actual value of this gate's metric over one cell's trials
-    /// (latencies from per-trial merged histograms, shares in percent).
-    fn actual(self, trials: &[ScenarioOutcome]) -> f64 {
-        let quantile_mean = |q: f64| {
-            let qs: Vec<f64> = trials
-                .iter()
-                .map(|t| t.merged_latency().quantile(q))
-                .collect();
-            sim_core::metrics::mean(&qs)
-        };
-        match self {
-            ExpectKind::P50Max => quantile_mean(0.5),
-            ExpectKind::P99Max => quantile_mean(0.99),
-            ExpectKind::ColdRateMax => 100.0 * mean_over(trials, |t| t.cold_ratio()),
+    /// The actual value of this gate's metric over one cell's trials:
+    /// the trial mean of its `metric_samples` entry (shares in
+    /// percent), or completed/offered for the completion floor.
+    fn actual(self, trials: &[ScenarioOutcome], samples: &[Sample]) -> f64 {
+        let metric = match self {
             ExpectKind::CompletionMin => {
-                100.0 * mean_over(trials, |t| t.completed as f64 / t.offered.max(1) as f64)
+                return 100.0 * mean_over(trials, |t| t.completed as f64 / t.offered.max(1) as f64)
             }
-            ExpectKind::GibSecondsMax => mean_over(trials, |t| t.gib_seconds),
-            ExpectKind::SloViolMax => {
-                100.0
-                    * mean_over(trials, |t| {
-                        t.fleet
-                            .as_ref()
-                            .map(|f| f.slo_violation_rate())
-                            .unwrap_or(0.0)
-                    })
-            }
-            ExpectKind::LostMax => mean_over(trials, |t| {
-                t.fleet.as_ref().map(|f| f.lost as f64).unwrap_or(0.0)
-            }),
-        }
+            ExpectKind::P50Max => "p50_ms",
+            ExpectKind::P99Max => "p99_ms",
+            ExpectKind::ColdRateMax => "cold_pct",
+            ExpectKind::GibSecondsMax => "gib_s",
+            ExpectKind::SloViolMax => "slo_viol_pct",
+            ExpectKind::LostMax => "lost",
+        };
+        sample_mean(samples, metric).unwrap_or(0.0)
     }
 }
 
@@ -188,6 +174,9 @@ pub(crate) fn evaluate(
     cells: &[(String, ScenarioResult)],
 ) -> Vec<ExpectVerdict> {
     let mut out = Vec::new();
+    if expect.is_empty() {
+        return out;
+    }
     for (name, result) in cells {
         for (backend, trials) in &result.cells {
             let label = if result.cells.len() > 1 {
@@ -195,8 +184,9 @@ pub(crate) fn evaluate(
             } else {
                 name.clone()
             };
+            let samples = metric_samples(trials);
             for e in expect {
-                let actual = e.kind.actual(trials);
+                let actual = e.kind.actual(trials, &samples);
                 let pass = if e.kind.is_min() {
                     actual >= e.limit
                 } else {

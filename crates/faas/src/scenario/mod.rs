@@ -4,13 +4,16 @@
 //! from the [`workloads::registry`], a topology
 //! ([`Topology::SingleVm`] | [`Topology::Cluster`] | [`Topology::Fleet`]),
 //! an elasticity backend per host (or a sweep list of them), a router,
-//! an autoscale policy, SLOs, duration/seed/trials — and
-//! [`Scenario::run`] runs every topology as a [`crate::FleetSim`]
-//! built by [`FleetConfig::from_scenario`] and returns one unified
-//! [`ScenarioResult`]. Every future experiment becomes a data change:
-//! a spec file (see [`Scenario::parse`] / [`Scenario::render`] for the
-//! line-oriented `key = value` format) instead of another ~100 lines
-//! of hand-wired config glue.
+//! an autoscale policy, SLOs, duration/seed/trials. A [`SweepSpec`]
+//! wraps one with optional sweep axes and `expect.*` gates, and
+//! [`SweepSpec::run`] is the one driver: it runs every cell of the grid
+//! (an axis-less spec is a one-cell grid) as a [`crate::FleetSim`]
+//! built by [`FleetConfig::from_scenario`], returns one
+//! [`ScenarioResult`] per cell, and renders them through one results
+//! table. Every experiment is a data change: a spec file (see
+//! [`SweepSpec::parse`] / [`SweepSpec::render`] for the line-oriented
+//! `key = value` format; the committed grids live in
+//! `examples/scenarios/`) instead of hand-wired config glue.
 //!
 //! Determinism contract: a scenario's RNG streams are derived from
 //! `(seed, trial)` through the *same* stream tags the bench harness
@@ -34,7 +37,6 @@ pub use expect::{render_verdicts, ExpectKind, ExpectVerdict, Expectation};
 pub use result::{FleetStats, ScenarioOutcome, ScenarioResult};
 pub use sweep::{AxisValues, GridOutcome, SweepAxis, SweepCell, SweepSpec, MAX_CELLS};
 
-use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
 use sim_core::DetRng;
 use workloads::{FunctionKind, TenantLoad, WorkloadKind, WorkloadParams};
 
@@ -422,7 +424,7 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics if a trace file's header cannot be read — [`Scenario::run`]
+    /// Panics if a trace file's header cannot be read — [`SweepSpec::run`]
     /// preflights the whole file first, so this only fires when
     /// `run_trial` is driven directly against a bad path.
     pub fn tenant_loads(&self, trial: u64) -> Vec<TenantLoad> {
@@ -440,6 +442,21 @@ impl Scenario {
                     arrivals: Vec::new(),
                 })
                 .collect(),
+        }
+    }
+
+    /// Tenant slots a run deploys: a trace file's `# tenants = ...`
+    /// count, else the spec's `tenants` (every named generator makes
+    /// exactly that many).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a trace file's header cannot be read, like
+    /// [`Scenario::tenant_loads`].
+    pub(crate) fn tenant_count(&self) -> usize {
+        match &self.workload {
+            WorkloadSpec::Named(_) => self.params.tenants,
+            WorkloadSpec::Trace(_) => self.tenant_loads(0).len(),
         }
     }
 
@@ -523,9 +540,8 @@ impl Scenario {
     /// never materialized, metrics bounded. `offered` is the number of
     /// arrivals the feed injected within the duration.
     ///
-    /// This is the composable core [`Scenario::run`] loops over; grid
-    /// experiments (`bench::cluster`, `bench::fleet`) call it directly
-    /// from their own sweep engines.
+    /// This is the unit [`SweepSpec::run`] shards over the experiment
+    /// engine, one call per `(cell, backend, trial)`.
     ///
     /// # Panics
     ///
@@ -552,56 +568,6 @@ impl Scenario {
         };
         let result = sim.expect("scenario hosts boot").run();
         ScenarioOutcome::new(self.topology, backend, trial, result)
-    }
-
-    /// Runs the whole scenario — every backend of the sweep × every
-    /// trial — through the experiment engine (`opts.jobs` shards the
-    /// grid; output is byte-identical for any job count) and returns
-    /// the unified result.
-    ///
-    /// `opts.trials > 1` overrides the spec's own trial count.
-    pub fn run(&self, opts: &ExpOpts) -> Result<ScenarioResult, String> {
-        self.validate()?;
-        if let WorkloadSpec::Trace(path) = &self.workload {
-            // Preflight the whole file (every row parsed, time order
-            // checked) so a malformed trace fails here with a line
-            // number instead of mid-simulation.
-            workloads::validate_trace(path).map_err(|e| format!("trace {path}: {e}"))?;
-        }
-        let trials = if opts.trials > 1 {
-            opts.trials
-        } else {
-            self.trials
-        };
-        struct Exp<'a> {
-            spec: &'a Scenario,
-            trials: u32,
-        }
-        impl Experiment for Exp<'_> {
-            type Point = BackendKind;
-            type Output = ScenarioOutcome;
-
-            fn points(&self) -> Vec<BackendKind> {
-                self.spec.backends.clone()
-            }
-
-            fn trials(&self) -> u32 {
-                self.trials
-            }
-
-            fn seed(&self) -> u64 {
-                self.spec.seed
-            }
-
-            fn run_trial(&self, &backend: &BackendKind, ctx: &mut TrialCtx) -> ScenarioOutcome {
-                self.spec.run_trial(backend, ctx.trial)
-            }
-        }
-        let grouped = run_experiment(&Exp { spec: self, trials }, opts.effective_jobs());
-        Ok(ScenarioResult {
-            spec: self.clone(),
-            cells: self.backends.iter().copied().zip(grouped).collect(),
-        })
     }
 }
 

@@ -5,12 +5,17 @@
 //! accounting, merged latency histograms, memory footprint, and the
 //! layer-specific extras as `Option`s — a field a topology doesn't
 //! produce reports as absent, never as a zero that could be mistaken
-//! for a measurement. [`ScenarioResult`] groups the cells per backend
-//! and renders the comparison table.
+//! for a measurement. [`ScenarioResult`] groups the cells per backend.
+//!
+//! Each metric is defined once, as per-trial samples
+//! (`metric_samples`): the one results table (`render_table`, shared
+//! by plain scenarios and sweep grids), the `expect.*` gates and the
+//! `--compare` diff all read them.
 
 use std::collections::BTreeMap;
 
 use sim_core::experiment::mean_over;
+use sim_core::stats::mean;
 use sim_core::{Fnv1a, Histogram, Reservoir, TextTable};
 use workloads::FunctionKind;
 
@@ -202,8 +207,61 @@ impl ScenarioOutcome {
     }
 }
 
-/// The unified outcome of [`Scenario::run`]: one column of trials per
-/// backend in the sweep, plus the spec that produced them.
+/// One metric's per-trial samples: `(name, higher-is-worse, one value
+/// per trial)`.
+pub(crate) type Sample = (&'static str, bool, Vec<f64>);
+
+/// The metrics every report reads — the results table, the `expect.*`
+/// gates and the significance-aware comparison — as per-trial samples.
+/// Fleet metrics appear only when every trial carries them.
+pub(crate) fn metric_samples(trials: &[ScenarioOutcome]) -> Vec<Sample> {
+    // One merge pass per trial serves both percentiles.
+    let mut merged: Vec<Histogram> = trials.iter().map(ScenarioOutcome::merged_latency).collect();
+    let mut quantiles = |q: f64| -> Vec<f64> { merged.iter_mut().map(|h| h.quantile(q)).collect() };
+    let mut out = vec![
+        (
+            "served",
+            false,
+            trials.iter().map(|t| t.completed as f64).collect(),
+        ),
+        ("p50_ms", true, quantiles(0.5)),
+        ("p99_ms", true, quantiles(0.99)),
+        (
+            "cold_pct",
+            true,
+            trials.iter().map(|t| 100.0 * t.cold_ratio()).collect(),
+        ),
+        (
+            "gib_s",
+            true,
+            trials.iter().map(|t| t.gib_seconds).collect(),
+        ),
+    ];
+    if trials.iter().all(|t| t.fleet.is_some()) {
+        let f = |get: fn(&FleetStats) -> f64| -> Vec<f64> {
+            trials
+                .iter()
+                .map(|t| get(t.fleet.as_ref().expect("checked above")))
+                .collect()
+        };
+        out.push(("slo_viol_pct", true, f(|s| 100.0 * s.slo_violation_rate())));
+        out.push(("host_hours", true, f(|s| s.host_hours)));
+        out.push(("lost", true, f(|s| s.lost as f64)));
+    }
+    out
+}
+
+/// Trial mean of metric `name` (`None` when the samples lack it).
+pub(crate) fn sample_mean(samples: &[Sample], name: &str) -> Option<f64> {
+    samples
+        .iter()
+        .find(|&&(n, _, _)| n == name)
+        .map(|(_, _, xs)| mean(xs))
+}
+
+/// The unified outcome of one spec cell ([`crate::SweepSpec::run`]):
+/// one column of trials per backend, plus the scenario that produced
+/// them.
 pub struct ScenarioResult {
     /// The scenario that ran.
     pub spec: Scenario,
@@ -224,9 +282,8 @@ impl ScenarioResult {
         h.finish()
     }
 
-    /// Renders the backend-comparison table (trial means per cell).
-    /// Columns a topology doesn't produce are omitted entirely rather
-    /// than shown as zeros.
+    /// Renders the scenario header and the results table, one row per
+    /// backend.
     pub fn render(&self) -> String {
         let spec = &self.spec;
         let trials = self.cells.first().map(|(_, t)| t.len()).unwrap_or(0);
@@ -235,7 +292,7 @@ impl ScenarioResult {
             spec.name,
             spec.topology.key(),
             spec.workload.key(),
-            spec.params.tenants,
+            spec.tenant_count(),
             spec.params.duration_s,
             spec.seed,
             trials,
@@ -256,104 +313,126 @@ impl ScenarioResult {
                 },
             )),
         }
-
-        let mut header = vec![
-            "Backend", "Served", "p50(ms)", "p99(ms)", "Cold(%)", "GiB*s",
-        ];
-        if matches!(spec.topology, Topology::Cluster(_)) {
-            header.push("Hot(%)");
-        }
-        if spec.topology == Topology::Fleet {
-            header.extend([
-                "Hosts", "Host-hrs", "SLOv(%)", "Scale+", "Scale-", "Crash", "Lost",
-            ]);
-        }
-        let mut table = TextTable::new(&header);
-        for (backend, trials) in &self.cells {
-            // One merge pass per trial serves both percentiles.
-            let mut merged: Vec<Histogram> =
-                trials.iter().map(ScenarioOutcome::merged_latency).collect();
-            let quantile_mean = |merged: &mut [Histogram], q: f64| {
-                let qs: Vec<f64> = merged.iter_mut().map(|h| h.quantile(q)).collect();
-                sim_core::metrics::mean(&qs)
-            };
-            let mut row = vec![
-                backend.name().to_string(),
-                format!(
-                    "{:.0}/{:.0}",
-                    mean_over(trials, |t| t.completed as f64),
-                    mean_over(trials, |t| t.offered as f64)
-                ),
-                format!("{:.0}", quantile_mean(&mut merged, 0.5)),
-                format!("{:.0}", quantile_mean(&mut merged, 0.99)),
-                format!("{:.1}", 100.0 * mean_over(trials, |t| t.cold_ratio())),
-                format!("{:.1}", mean_over(trials, |t| t.gib_seconds)),
-            ];
-            if matches!(spec.topology, Topology::Cluster(_)) {
-                row.push(format!(
-                    "{:.1}",
-                    100.0 * mean_over(trials, |t| t.hot_share().unwrap_or(0.0))
-                ));
-            }
-            if spec.topology == Topology::Fleet {
-                let f = |get: fn(&FleetStats) -> f64| {
-                    mean_over(trials, |t| t.fleet.as_ref().map(get).unwrap_or(0.0))
-                };
-                row.push(format!(
-                    "{:.0}→{:.0}",
-                    f(|s| s.min_active as f64),
-                    f(|s| s.peak_active as f64)
-                ));
-                row.push(format!("{:.2}", f(|s| s.host_hours)));
-                row.push(format!("{:.1}", 100.0 * f(|s| s.slo_violation_rate())));
-                row.push(format!("{:.0}", f(|s| s.scale_ups as f64)));
-                row.push(format!("{:.0}", f(|s| s.scale_downs as f64)));
-                row.push(format!("{:.0}", f(|s| s.crashes as f64)));
-                row.push(format!("{:.0}", f(|s| s.lost as f64)));
-            }
-            table.row(row);
-        }
-        out.push_str(&table.render());
-
-        // The time-resolved view, where the topology records one.
-        let quarters: Vec<String> = self
+        let rows: Vec<Row> = self
             .cells
             .iter()
-            .filter_map(|(backend, trials)| {
-                let q = spec.params.duration_s / 4.0;
-                let means: Vec<Vec<f64>> = trials
-                    .iter()
-                    .filter_map(|t| {
-                        t.latency_over_time.as_ref().map(|res| {
-                            (0..4)
-                                .map(|i| {
-                                    res.mean_in(i as f64 * q, (i + 1) as f64 * q).unwrap_or(0.0)
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect();
-                if means.is_empty() {
-                    return None;
-                }
-                let avg = |i: usize| means.iter().map(|m| m[i]).sum::<f64>() / means.len() as f64;
-                Some(format!(
-                    "  {}: {:.0} / {:.0} / {:.0} / {:.0} ms",
-                    backend.name(),
-                    avg(0),
-                    avg(1),
-                    avg(2),
-                    avg(3)
-                ))
+            .map(|(backend, trials)| Row {
+                label: backend.name().to_string(),
+                duration_s: spec.params.duration_s,
+                trials,
             })
             .collect();
-        if !quarters.is_empty() {
-            out.push_str("Time-resolved mean latency (reservoir-sampled quarters):\n");
-            for line in quarters {
-                out.push_str(&line);
-                out.push('\n');
-            }
-        }
+        out.push_str(&render_table(spec.topology, "Backend", &rows));
         out
     }
+}
+
+/// One row of the results table: a label and the trials it averages.
+pub(crate) struct Row<'a> {
+    /// Backend name (plain scenario) or cell name (grid).
+    pub label: String,
+    /// The run's duration, for the reservoir quarters.
+    pub duration_s: f64,
+    /// The row's per-trial outcomes.
+    pub trials: &'a [ScenarioOutcome],
+}
+
+/// The one results table every report prints (trial means per row),
+/// followed by the time-resolved reservoir quarters where the topology
+/// records them. The column set depends only on the topology: clusters
+/// add `Hot(%)`, fleets the control-plane columns; columns a topology
+/// doesn't produce are omitted rather than shown as zeros.
+pub(crate) fn render_table(topology: Topology, first: &str, rows: &[Row]) -> String {
+    let cluster = matches!(topology, Topology::Cluster(_));
+    let fleet = topology == Topology::Fleet;
+    let mut header = vec![first, "Served", "p50(ms)", "p99(ms)", "Cold(%)", "GiB*s"];
+    if cluster {
+        header.push("Hot(%)");
+    }
+    if fleet {
+        header.extend([
+            "Hosts", "Host-hrs", "SLOv(%)", "Scale+", "Scale-", "Crash", "Lost",
+        ]);
+    }
+    let mut table = TextTable::new(&header);
+    for r in rows {
+        let trials = r.trials;
+        let samples = metric_samples(trials);
+        let m = |name: &str| sample_mean(&samples, name).unwrap_or(0.0);
+        let mut row = vec![
+            r.label.clone(),
+            format!(
+                "{:.0}/{:.0}",
+                m("served"),
+                mean_over(trials, |t| t.offered as f64)
+            ),
+            format!("{:.0}", m("p50_ms")),
+            format!("{:.0}", m("p99_ms")),
+            format!("{:.1}", m("cold_pct")),
+            format!("{:.1}", m("gib_s")),
+        ];
+        if cluster {
+            row.push(format!(
+                "{:.1}",
+                100.0 * mean_over(trials, |t| t.hot_share().unwrap_or(0.0))
+            ));
+        }
+        if fleet {
+            let f = |get: fn(&FleetStats) -> f64| {
+                mean_over(trials, |t| t.fleet.as_ref().map(get).unwrap_or(0.0))
+            };
+            row.push(format!(
+                "{:.0}→{:.0}",
+                f(|s| s.min_active as f64),
+                f(|s| s.peak_active as f64)
+            ));
+            row.push(format!("{:.2}", m("host_hours")));
+            row.push(format!("{:.1}", m("slo_viol_pct")));
+            row.push(format!("{:.0}", f(|s| s.scale_ups as f64)));
+            row.push(format!("{:.0}", f(|s| s.scale_downs as f64)));
+            row.push(format!("{:.0}", f(|s| s.crashes as f64)));
+            row.push(format!("{:.0}", m("lost")));
+        }
+        table.row(row);
+    }
+    let mut out = table.render();
+
+    // The time-resolved view, where the topology records one.
+    let quarters: Vec<String> = rows
+        .iter()
+        .filter_map(|r| {
+            let q = r.duration_s / 4.0;
+            let means: Vec<Vec<f64>> = r
+                .trials
+                .iter()
+                .filter_map(|t| {
+                    t.latency_over_time.as_ref().map(|res| {
+                        (0..4)
+                            .map(|i| res.mean_in(i as f64 * q, (i + 1) as f64 * q).unwrap_or(0.0))
+                            .collect()
+                    })
+                })
+                .collect();
+            if means.is_empty() {
+                return None;
+            }
+            let avg = |i: usize| means.iter().map(|m| m[i]).sum::<f64>() / means.len() as f64;
+            Some(format!(
+                "  {}: {:.0} / {:.0} / {:.0} / {:.0} ms",
+                r.label,
+                avg(0),
+                avg(1),
+                avg(2),
+                avg(3)
+            ))
+        })
+        .collect();
+    if !quarters.is_empty() {
+        out.push_str("Time-resolved mean latency (reservoir-sampled quarters):\n");
+        for line in quarters {
+            out.push_str(&line);
+            out.push('\n');
+        }
+    }
+    out
 }

@@ -19,6 +19,7 @@
 use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
 
 use super::expect::{self, ExpectVerdict, Expectation};
+use super::result::{render_table, Row};
 use super::{compare, format, Scenario, ScenarioOutcome, ScenarioResult, Topology, WorkloadSpec};
 use crate::config::BackendKind;
 
@@ -631,59 +632,19 @@ impl GridOutcome {
                 base.workload.key(),
                 base.seed,
             ));
-            let fleet = base.topology == Topology::Fleet;
-            let mut header = vec!["Cell", "Served", "p50(ms)", "p99(ms)", "Cold(%)", "GiB*s"];
-            if fleet {
-                header.extend(["SLOv(%)", "Lost"]);
-            }
             let prefix = format!("{}/", base.name);
-            let mut table = sim_core::TextTable::new(&header);
-            for (name, result) in &self.cells {
-                let Some((_, trials)) = result.cells.first() else {
-                    continue;
-                };
-                use sim_core::experiment::mean_over;
-                let quantile_mean = |q: f64| {
-                    let qs: Vec<f64> = trials
-                        .iter()
-                        .map(|t| t.merged_latency().quantile(q))
-                        .collect();
-                    sim_core::metrics::mean(&qs)
-                };
-                let mut row = vec![
-                    name.strip_prefix(&prefix).unwrap_or(name).to_string(),
-                    format!(
-                        "{:.0}/{:.0}",
-                        mean_over(trials, |t| t.completed as f64),
-                        mean_over(trials, |t| t.offered as f64)
-                    ),
-                    format!("{:.0}", quantile_mean(0.5)),
-                    format!("{:.0}", quantile_mean(0.99)),
-                    format!("{:.1}", 100.0 * mean_over(trials, |t| t.cold_ratio())),
-                    format!("{:.1}", mean_over(trials, |t| t.gib_seconds)),
-                ];
-                if fleet {
-                    row.push(format!(
-                        "{:.1}",
-                        100.0
-                            * mean_over(trials, |t| t
-                                .fleet
-                                .as_ref()
-                                .map(|f| f.slo_violation_rate())
-                                .unwrap_or(0.0))
-                    ));
-                    row.push(format!(
-                        "{:.0}",
-                        mean_over(trials, |t| t
-                            .fleet
-                            .as_ref()
-                            .map(|f| f.lost as f64)
-                            .unwrap_or(0.0))
-                    ));
-                }
-                table.row(row);
-            }
-            out.push_str(&table.render());
+            let rows: Vec<Row> = self
+                .cells
+                .iter()
+                .flat_map(|(name, result)| {
+                    result.cells.iter().map(|(_, trials)| Row {
+                        label: name.strip_prefix(&prefix).unwrap_or(name).to_string(),
+                        duration_s: result.spec.params.duration_s,
+                        trials,
+                    })
+                })
+                .collect();
+            out.push_str(&render_table(base.topology, "Cell", &rows));
             if self.cells.len() > 1 {
                 out.push_str(&compare::render_grid_baseline(&self.cells, &prefix));
             }

@@ -14,7 +14,7 @@
 use faas::{
     default_slos, AutoscaleOpts, BackendKind, ClusterConfig, Deployment, FaasSim, FailureConfig,
     FixedFleet, FleetConfig, FleetSim, HarvestConfig, PolicyKind, PowerOfTwoChoices, RouterKind,
-    Scenario, SimConfig, SlamSlo, TenantTrace, Topology, VmSpec, WarmAffinity,
+    Scenario, SimConfig, SlamSlo, SweepSpec, TenantTrace, Topology, VmSpec, WarmAffinity,
 };
 use mem_types::GIB;
 use sim_core::{DetRng, ExpOpts};
@@ -266,12 +266,15 @@ fn scenario_run_is_byte_identical_for_any_job_count() {
     spec.keepalive_s = 8.0;
     spec.trials = 2;
 
+    // An axis-less spec is a one-cell grid on the one driver.
+    let spec = SweepSpec::new(spec, Vec::new(), Vec::new()).expect("valid spec");
     let serial = spec.run(&ExpOpts::serial()).expect("runs");
     let parallel = spec.run(&ExpOpts::serial().with_jobs(4)).expect("runs");
-    assert_eq!(serial.digest(), parallel.digest());
+    assert_eq!(serial.cells.len(), 1);
+    assert_eq!(serial.cells[0].1.digest(), parallel.cells[0].1.digest());
     assert_eq!(serial.render(), parallel.render());
     // Fields a cluster doesn't produce report as absent, not zeros.
-    for (_, trials) in &serial.cells {
+    for (_, trials) in &serial.cells[0].1.cells {
         for t in trials {
             assert!(t.fleet.is_none(), "no control plane on a cluster");
             assert!(t.latency_over_time.is_some());

@@ -95,9 +95,13 @@ fn compare_is_deterministic_and_marks_direction() {
     let mut b = a.clone();
     b.name = "b".to_string();
     b.keepalive_s = 1.0;
-    let opts = ExpOpts::serial();
-    let ra = a.run(&opts).expect("runs");
-    let rb = b.run(&opts).expect("runs");
+    let run = |s: Scenario| {
+        let spec = SweepSpec::new(s, Vec::new(), Vec::new()).expect("valid spec");
+        let mut out = spec.run(&ExpOpts::serial()).expect("runs");
+        out.cells.remove(0).1
+    };
+    let ra = run(a);
+    let rb = run(b);
     let r1 = compare_results("a", &ra, "b", &rb).render();
     let r2 = compare_results("a", &ra, "b", &rb).render();
     assert_eq!(r1, r2, "compare is deterministic");
@@ -109,4 +113,21 @@ fn compare_is_deterministic_and_marks_direction() {
             assert!(!d.significant(), "self-compare is never significant");
         }
     }
+}
+
+#[test]
+fn trace_scenarios_report_the_trace_files_tenant_count() {
+    // The spec's own `tenants` (default 4) is not what a trace replay
+    // deploys: the file's `# tenants = html, cnn` directive is.
+    let path = format!(
+        "{}/../../examples/traces/opendc_sample.csv",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let text = format!(
+        "name = opendc\ntopology = cluster(2)\nworkload = trace({path})\nduration_s = 120\n"
+    );
+    let spec = SweepSpec::parse(&text).expect("parses");
+    assert_eq!(spec.base.params.tenants, 4, "spec default");
+    let rendered = spec.run(&ExpOpts::serial()).expect("runs").render();
+    assert!(rendered.contains("(2 tenants, 120s)"), "{rendered}");
 }

@@ -8,7 +8,7 @@
 //! cargo run --release --example faas_autoscaler
 //! ```
 
-use faas::Scenario;
+use faas::SweepSpec;
 use sim_core::ExpOpts;
 
 const SPEC: &str = "\
@@ -28,15 +28,16 @@ seed = 7
 ";
 
 fn main() {
-    let scenario = Scenario::parse(SPEC).expect("spec is valid");
-    println!("spec (canonical render):\n\n{}", scenario.render());
+    let spec = SweepSpec::parse(SPEC).expect("spec is valid");
+    println!("spec (canonical render):\n\n{}", spec.render());
 
-    let result = scenario.run(&ExpOpts::auto()).expect("scenario runs");
-    println!("{}", result.render());
+    let outcome = spec.run(&ExpOpts::auto()).expect("scenario runs");
+    println!("{}", outcome.render());
 
     // The unified result keeps per-cell detail: show what the
-    // elasticity bought, backend by backend.
-    for (backend, trials) in &result.cells {
+    // elasticity bought, backend by backend (an axis-less spec is one
+    // cell).
+    for (backend, trials) in &outcome.cells[0].1.cells {
         let out = &trials[0];
         println!(
             "{:<12} {:>4} served, {:>3} cold / {:>3} warm, {:>7.1} GiB*s, p99 {:>5.0} ms",
