@@ -4,10 +4,8 @@
 
 use faas::{BackendKind, Deployment, FaasSim, SimConfig, SimResult, VmSpec};
 use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
-use sim_core::SimDuration;
+use sim_core::{SimDuration, TextTable};
 use workloads::{bursty_arrivals, BurstyTraceConfig, FunctionKind};
-
-use crate::table::TextTable;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -119,7 +117,6 @@ fn run_trial(cfg: &Fig1Config, ctx: &mut TrialCtx) -> SimResult {
             Deployment {
                 kind: FunctionKind::Html,
                 concurrency: cfg.concurrency,
-                arrivals,
             },
             cfg.duration_s,
         )
@@ -131,7 +128,7 @@ fn run_trial(cfg: &Fig1Config, ctx: &mut TrialCtx) -> SimResult {
         }],
         ..sim_cfg
     };
-    FaasSim::new(sim_cfg).expect("boot").run()
+    FaasSim::new(sim_cfg, vec![arrivals]).expect("boot").run()
 }
 
 /// Renders guest/host usage and instance count over time.

@@ -12,10 +12,8 @@ use std::collections::BTreeMap;
 use faas::{BackendKind, Deployment, FaasSim, HarvestConfig, SimConfig, SimResult, VmSpec};
 use sim_core::experiment::{mean_over, run_experiment, ExpOpts, Experiment, TrialCtx};
 use sim_core::metrics::geomean;
-use sim_core::DetRng;
+use sim_core::{DetRng, TextTable};
 use workloads::{bursty_arrivals, BurstyTraceConfig, FunctionKind};
-
-use crate::table::TextTable;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -163,11 +161,10 @@ fn build_config(
         },
         vms: traces
             .iter()
-            .map(|(kind, arrivals)| VmSpec {
+            .map(|&(kind, _)| VmSpec {
                 deployments: vec![Deployment {
-                    kind: *kind,
+                    kind,
                     concurrency: cfg.concurrency,
-                    arrivals: arrivals.clone(),
                 }],
                 vcpus: None,
             })
@@ -175,7 +172,6 @@ fn build_config(
         host_capacity: capacity,
         keepalive_s: cfg.keepalive_s,
         duration_s: cfg.duration_s,
-        sample_period_s: 1.0,
         unplug_deadline_ms: cfg.unplug_deadline_ms,
         // The figure reports aggregate percentiles only: skip the
         // per-request points in the heaviest simulations.
@@ -193,7 +189,9 @@ fn run_one(
     tr: &[(FunctionKind, Vec<f64>)],
     trial: u64,
 ) -> Fig10Run {
-    let sim = FaasSim::new(build_config(backend, capacity, cfg, tr, trial)).expect("boot");
+    let arrivals = tr.iter().map(|(_, a)| a.clone()).collect();
+    let sim =
+        FaasSim::new(build_config(backend, capacity, cfg, tr, trial), arrivals).expect("boot");
     let mut result = sim.run();
     let p99: BTreeMap<FunctionKind, f64> = FunctionKind::ALL
         .iter()

@@ -4,10 +4,8 @@
 use faas::{microvm_cold_start, n_to_one_cold_start, ColdStartBreakdown};
 use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
 use sim_core::metrics::mean;
-use sim_core::CostModel;
+use sim_core::{CostModel, TextTable};
 use workloads::FunctionKind;
-
-use crate::table::TextTable;
 
 /// One function's comparison.
 pub struct Fig11Row {

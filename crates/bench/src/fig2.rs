@@ -3,9 +3,8 @@
 //! N:1 resizing.
 
 use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
+use sim_core::TextTable;
 use workloads::{analyze_churn, zipf_function_traces, ChurnResult};
-
-use crate::table::TextTable;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]

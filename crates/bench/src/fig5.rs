@@ -4,10 +4,9 @@
 
 use mem_types::MIB;
 use sim_core::experiment::{run_reduced, ExpOpts, Experiment, TrialCtx};
-use sim_core::{CostModel, DetRng, LatencyBreakdown};
+use sim_core::{CostModel, DetRng, LatencyBreakdown, TextTable};
 
 use crate::setup::{FarmKind, MemhogFarm};
-use crate::table::TextTable;
 
 /// The reclamation methods under comparison.
 const METHODS: [&str; 3] = ["Balloon", "Virtio-mem", "Squeezy"];

@@ -8,13 +8,12 @@
 use guest_mm::GuestMmConfig;
 use mem_types::{GIB, MIB};
 use sim_core::experiment::{mean_over, run_experiment, ExpOpts, Experiment, TrialCtx};
-use sim_core::{CostModel, DetRng, SimDuration};
+use sim_core::{CostModel, DetRng, SimDuration, TextTable};
 use squeezy::{SqueezyConfig, SqueezyManager};
 use vmm::{HostMemory, Vm, VmConfig};
 use workloads::Memhog;
 
 use crate::setup::{churn_seeded, fill_interleaved};
-use crate::table::TextTable;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]

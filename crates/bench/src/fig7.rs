@@ -6,10 +6,9 @@
 use mem_types::MIB;
 use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
 use sim_core::metrics::mean;
-use sim_core::{BusyRecorder, CostModel, DetRng, SimDuration, SimTime};
+use sim_core::{BusyRecorder, CostModel, DetRng, SimDuration, SimTime, TextTable};
 
 use crate::setup::{FarmKind, MemhogFarm};
-use crate::table::TextTable;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]

@@ -5,10 +5,8 @@
 use faas::{BackendKind, Deployment, FaasSim, SimConfig};
 use sim_core::experiment::{mean_over, run_experiment, ExpOpts, Experiment, TrialCtx};
 use sim_core::metrics::geomean;
-use sim_core::DetRng;
+use sim_core::{DetRng, TextTable};
 use workloads::{bursty_arrivals, BurstyTraceConfig, FunctionKind};
-
-use crate::table::TextTable;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -146,12 +144,11 @@ fn run_one(
             Deployment {
                 kind,
                 concurrency: cfg.concurrency,
-                arrivals,
             },
             cfg.duration_s,
         )
     };
-    let result = FaasSim::new(sim_cfg).expect("boot").run();
+    let result = FaasSim::new(sim_cfg, vec![arrivals]).expect("boot").run();
     result.total_reclaims().throughput_mibs()
 }
 

@@ -4,10 +4,8 @@
 
 use faas::{BackendKind, Deployment, FaasSim, SimConfig, VmSpec};
 use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
-use sim_core::DetRng;
+use sim_core::{DetRng, TextTable};
 use workloads::FunctionKind;
-
-use crate::table::TextTable;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -155,12 +153,10 @@ fn run_one(backend: BackendKind, cfg: &Fig9Config, rng: &mut DetRng) -> Fig9Seri
                 Deployment {
                     kind: FunctionKind::Cnn,
                     concurrency: 8,
-                    arrivals: cnn,
                 },
                 Deployment {
                     kind: FunctionKind::Html,
                     concurrency: cfg.html_instances,
-                    arrivals: html,
                 },
             ],
             vcpus: Some(cfg.vcpus),
@@ -168,7 +164,6 @@ fn run_one(backend: BackendKind, cfg: &Fig9Config, rng: &mut DetRng) -> Fig9Seri
         host_capacity: u64::MAX / 2,
         keepalive_s: cfg.keepalive_s,
         duration_s: cfg.duration_s,
-        sample_period_s: 1.0,
         unplug_deadline_ms: 30_000,
         // Figure 9 is a time-resolved plot: it needs the per-request
         // latency points.
@@ -176,7 +171,7 @@ fn run_one(backend: BackendKind, cfg: &Fig9Config, rng: &mut DetRng) -> Fig9Seri
         seed: cfg.seed,
         trial: 0,
     };
-    let result = FaasSim::new(sim_cfg).expect("boot").run();
+    let result = FaasSim::new(sim_cfg, vec![cnn, html]).expect("boot").run();
     let m = &result.per_func[&FunctionKind::Cnn];
     let mut per_second = Vec::new();
     let mut s = 20.0;

@@ -14,11 +14,10 @@
 
 use mem_types::MIB;
 use sim_core::experiment::{mean_over, run_reduced, ExpOpts, Experiment, TrialCtx};
-use sim_core::{CostModel, DetRng, SimDuration};
+use sim_core::{CostModel, DetRng, SimDuration, TextTable};
 use vmm::Vm;
 
 use crate::setup::{FarmKind, MemhogFarm};
-use crate::table::TextTable;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]

@@ -9,10 +9,8 @@
 
 use faas::{absorb_burst, BurstOutcome, ScaleStrategy};
 use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
-use sim_core::CostModel;
+use sim_core::{CostModel, TextTable};
 use workloads::FunctionKind;
-
-use crate::table::TextTable;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]

@@ -29,7 +29,6 @@ pub mod hybrid;
 pub mod perf;
 pub mod setup;
 pub mod soft;
-pub mod table;
 pub mod table1;
 pub mod temporal;
 pub mod thp;

@@ -16,13 +16,11 @@
 
 use std::time::Instant;
 
-use faas::cluster::{ClusterConfig, RoundRobin, TenantTrace, LATENCY_RESERVOIR_CAP};
+use faas::cluster::{ClusterConfig, RoundRobin, LATENCY_RESERVOIR_CAP};
 use faas::config::{BackendKind, Deployment, HarvestConfig, SimConfig, VmSpec};
 use faas::fleet::{FixedFleet, FleetConfig, FleetSim};
-use sim_core::DetRng;
+use sim_core::{DetRng, TextTable};
 use workloads::FunctionKind;
-
-use crate::table::TextTable;
 
 /// Root seed of the pinned scenario's per-host jitter streams.
 const PERF_SEED: u64 = 0x9EF0;
@@ -75,7 +73,6 @@ impl PerfConfig {
                     .map(|_| Deployment {
                         kind: FunctionKind::Html,
                         concurrency: 2,
-                        arrivals: Vec::new(),
                     })
                     .collect(),
                 vcpus: Some(4.0),
@@ -83,7 +80,6 @@ impl PerfConfig {
             host_capacity: u64::MAX / 2,
             keepalive_s: 60.0,
             duration_s: self.duration_s,
-            sample_period_s: 1.0,
             unplug_deadline_ms: 5_000,
             record_latency_points: false,
             seed,
@@ -104,11 +100,7 @@ impl PerfConfig {
                     arrivals.push(t);
                     t += gap;
                 }
-                TenantTrace {
-                    vm: 0,
-                    dep: ti,
-                    arrivals,
-                }
+                arrivals
             })
             .collect();
         ClusterConfig {
@@ -143,11 +135,7 @@ pub struct PerfCell {
 /// Runs the pinned scenario once, single-threaded, and times it.
 pub fn run(cfg: &PerfConfig) -> PerfCell {
     let cluster = cfg.cluster();
-    let invocations: u64 = cluster
-        .tenants
-        .iter()
-        .map(|t| t.arrivals.len() as u64)
-        .sum();
+    let invocations: u64 = cluster.tenants.iter().map(|t| t.len() as u64).sum();
     // A fixed fleet whose own streams are rooted at host 0's seed.
     let seed = cluster.hosts[0].seed;
     let t0 = Instant::now();
@@ -315,7 +303,6 @@ pub fn run_trace(cfg: &TracePerfConfig) -> TracePerfCell {
                 .map(|&kind| Deployment {
                     kind,
                     concurrency: 8,
-                    arrivals: Vec::new(),
                 })
                 .collect(),
             vcpus: Some(8.0),
@@ -323,7 +310,6 @@ pub fn run_trace(cfg: &TracePerfConfig) -> TracePerfCell {
         host_capacity: u64::MAX / 2,
         keepalive_s: 60.0,
         duration_s,
-        sample_period_s: 1.0,
         unplug_deadline_ms: 5_000,
         record_latency_points: false,
         seed,
@@ -333,16 +319,7 @@ pub fn run_trace(cfg: &TracePerfConfig) -> TracePerfCell {
         hosts: (0..cfg.hosts)
             .map(|h| host(DetRng::new(PERF_SEED).derive(0x7A).derive(h as u64).seed()))
             .collect(),
-        tenants: header
-            .kinds
-            .iter()
-            .enumerate()
-            .map(|(ti, _)| TenantTrace {
-                vm: 0,
-                dep: ti,
-                arrivals: Vec::new(),
-            })
-            .collect(),
+        tenants: Vec::new(),
     };
 
     let t0 = Instant::now();

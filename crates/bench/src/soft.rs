@@ -18,12 +18,10 @@
 use guest_mm::{AllocPolicy, GuestMmConfig};
 use mem_types::{GIB, MIB};
 use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
-use sim_core::{CostModel, SimDuration};
+use sim_core::{CostModel, SimDuration, TextTable};
 use squeezy::{SoftWake, SqueezyConfig, SqueezyManager};
 use vmm::{HostMemory, Vm, VmConfig};
 use workloads::FunctionKind;
-
-use crate::table::TextTable;
 
 /// The idle-instance policies under comparison.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

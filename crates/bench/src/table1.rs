@@ -1,9 +1,8 @@
 //! Table 1: the serverless functions used in the evaluation and their
 //! per-instance resource limits.
 
+use sim_core::TextTable;
 use workloads::FunctionKind;
-
-use crate::table::TextTable;
 
 /// Renders Table 1 from the workload profiles.
 pub fn render() -> String {

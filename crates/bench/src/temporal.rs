@@ -19,12 +19,10 @@
 use guest_mm::{AllocPolicy, GuestMmConfig};
 use mem_types::{GIB, MIB, PAGE_SIZE};
 use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
-use sim_core::{CostModel, SimDuration};
+use sim_core::{CostModel, SimDuration, TextTable};
 use squeezy::{FlexManager, TemporalInstance};
 use vmm::{HostMemory, Vm, VmConfig};
 use workloads::FunctionKind;
-
-use crate::table::TextTable;
 
 /// Memory layout policy under comparison.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -17,12 +17,10 @@
 use guest_mm::{GuestMmConfig, PAGES_PER_HUGE};
 use mem_types::{align_up_to_block, GIB, MIB, PAGE_SIZE};
 use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
-use sim_core::{CostModel, DetRng};
+use sim_core::{CostModel, DetRng, TextTable};
 use squeezy::{SqueezyConfig, SqueezyManager};
 use vmm::{HostMemory, Vm, VmConfig};
 use workloads::Memhog;
-
-use crate::table::TextTable;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]

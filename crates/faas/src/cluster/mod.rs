@@ -3,10 +3,12 @@
 //! A cluster is N hosts under one event engine with a pluggable
 //! [`Router`] that assigns each arriving request to a host at pop time
 //! — so dynamic policies (least-loaded, warm-affinity) see real-time
-//! load, not a static partition of the trace. There is no separate
-//! cluster loop: a [`ClusterConfig`] runs as a fixed fleet
-//! ([`crate::FleetConfig::fixed`] under [`crate::FixedFleet`]) on
-//! [`crate::FleetSim`], the one engine every topology shares.
+//! load, not a static partition of the trace. Tenant `i` is deployment
+//! slot `i` of every host, so a cluster's workload is one arrival list
+//! per tenant. There is no separate cluster loop: a [`ClusterConfig`]
+//! runs as a fixed fleet ([`crate::FleetConfig::fixed`] under
+//! [`crate::FixedFleet`]) on [`crate::FleetSim`], the one engine every
+//! topology shares.
 
 mod router;
 
@@ -17,58 +19,19 @@ pub use router::{
 
 use crate::config::SimConfig;
 
-/// One tenant's invocation trace, addressed to a deployment slot every
-/// host exposes.
-#[derive(Clone, Debug)]
-pub struct TenantTrace {
-    /// VM index of the tenant's deployment on each host.
-    pub vm: usize,
-    /// Deployment index within that VM.
-    pub dep: usize,
-    /// Sorted arrival times in seconds.
-    pub arrivals: Vec<f64>,
-}
-
-/// A cluster: per-host simulation configs plus the tenant traces the
-/// router spreads over them.
+/// A cluster: per-host simulation configs plus the tenant arrival
+/// lists the router spreads over them.
 ///
-/// Every host must expose each tenant's `(vm, dep)` deployment slot;
-/// arrival lists inside the host configs are ignored (the cluster owns
-/// the traces). Hosts share `duration_s`.
+/// Tenant `i` is deployment slot `i` of every host, counting slots
+/// VM-major, then deployment (`(vm, dep)` flattened). Every host must
+/// expose at least as many slots as there are tenants, and hosts share
+/// `duration_s`.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
     /// Per-host simulation configs.
     pub hosts: Vec<SimConfig>,
-    /// The tenant traces routed across the hosts.
-    pub tenants: Vec<TenantTrace>,
-}
-
-impl ClusterConfig {
-    /// Wraps a single-host config into a one-host cluster: its
-    /// deployments' arrival traces move into the tenant traces, in
-    /// flattened `(vm, dep)` order. Run behind the [`SingleHost`]
-    /// router this is [`crate::FaasSim`].
-    pub fn from_single(mut cfg: SimConfig) -> ClusterConfig {
-        let tenants = cfg
-            .vms
-            .iter_mut()
-            .enumerate()
-            .flat_map(|(vi, spec)| {
-                spec.deployments
-                    .iter_mut()
-                    .enumerate()
-                    .map(move |(di, d)| TenantTrace {
-                        vm: vi,
-                        dep: di,
-                        arrivals: std::mem::take(&mut d.arrivals),
-                    })
-            })
-            .collect();
-        ClusterConfig {
-            hosts: vec![cfg],
-            tenants,
-        }
-    }
+    /// Sorted arrival times in seconds, one list per tenant.
+    pub tenants: Vec<Vec<f64>>,
 }
 
 /// Retained capacity of the fleet's time-resolved latency reservoir:
@@ -97,7 +60,6 @@ mod tests {
                     .map(|_| Deployment {
                         kind: FunctionKind::Html,
                         concurrency: 2,
-                        arrivals: Vec::new(),
                     })
                     .collect(),
                 vcpus: Some(2.0),
@@ -105,7 +67,6 @@ mod tests {
             host_capacity: u64::MAX / 2,
             keepalive_s: 20.0,
             duration_s: 60.0,
-            sample_period_s: 1.0,
             unplug_deadline_ms: 5_000,
             record_latency_points: false,
             seed,
@@ -119,18 +80,7 @@ mod tests {
                 host_cfg(BackendKind::Squeezy, 2, 1),
                 host_cfg(BackendKind::Squeezy, 2, 2),
             ],
-            tenants: vec![
-                TenantTrace {
-                    vm: 0,
-                    dep: 0,
-                    arrivals: vec![1.0, 1.1, 1.2, 1.3, 20.0, 20.1],
-                },
-                TenantTrace {
-                    vm: 0,
-                    dep: 1,
-                    arrivals: vec![2.0, 2.1, 30.0],
-                },
-            ],
+            tenants: vec![vec![1.0, 1.1, 1.2, 1.3, 20.0, 20.1], vec![2.0, 2.1, 30.0]],
         };
         FleetSim::new(FleetConfig::fixed(config, 1), router, Box::new(FixedFleet))
             .expect("boot")

@@ -1,4 +1,8 @@
 //! Simulation configuration: deployments, backends, host limits.
+//!
+//! A [`SimConfig`] describes one host: its VMs and their deployment
+//! slots. It carries no arrivals; those are one list per tenant, and
+//! tenant `i` drives flattened slot `i` (see [`crate::ClusterConfig`]).
 
 use workloads::FunctionKind;
 
@@ -59,11 +63,6 @@ impl BackendKind {
     pub fn from_key(key: &str) -> Result<BackendKind, String> {
         sim_core::registry::lookup("backend", &BackendKind::ALL, BackendKind::key, key)
     }
-
-    /// Returns `true` for the backends that install a Squeezy manager.
-    pub fn is_squeezy(self) -> bool {
-        matches!(self, BackendKind::Squeezy | BackendKind::SqueezySoft)
-    }
 }
 
 /// HarvestVM-opts parameters.
@@ -84,7 +83,9 @@ impl Default for HarvestConfig {
     }
 }
 
-/// One function deployed on a VM, with its invocation trace.
+/// One function deployed on a VM: a deployment slot. Its invocations
+/// come from the tenant of the same slot index (see
+/// [`crate::ClusterConfig`]).
 #[derive(Clone, Debug)]
 pub struct Deployment {
     /// The function (Table 1).
@@ -92,8 +93,6 @@ pub struct Deployment {
     /// Max concurrent instances of this function on its VM (the paper
     /// calibrates N to the trace's peak concurrency, 9-36).
     pub concurrency: u32,
-    /// Sorted arrival times in seconds.
-    pub arrivals: Vec<f64>,
 }
 
 /// One N:1 VM hosting one or more deployments (Figure 9 co-locates two).
@@ -136,8 +135,6 @@ pub struct SimConfig {
     pub keepalive_s: f64,
     /// Simulated duration (arrivals past this are ignored).
     pub duration_s: f64,
-    /// Metrics sampling period.
-    pub sample_period_s: f64,
     /// virtio-mem unplug deadline (reclaim timeout) in milliseconds.
     pub unplug_deadline_ms: u64,
     /// Record one `(arrival, latency)` point per completed request in
@@ -168,7 +165,6 @@ impl SimConfig {
             host_capacity: u64::MAX / 2,
             keepalive_s: 120.0,
             duration_s,
-            sample_period_s: 1.0,
             unplug_deadline_ms: 5_000,
             record_latency_points: true,
             seed: 42,
@@ -192,7 +188,6 @@ mod tests {
             deployments: vec![Deployment {
                 kind: FunctionKind::Html, // 0.25 shares
                 concurrency: 10,
-                arrivals: vec![],
             }],
             vcpus: None,
         };
@@ -217,7 +212,6 @@ mod tests {
             Deployment {
                 kind: FunctionKind::Html,
                 concurrency: 1,
-                arrivals: vec![],
             },
             10.0,
         );
@@ -235,7 +229,6 @@ mod tests {
             Deployment {
                 kind: FunctionKind::Cnn,
                 concurrency: 4,
-                arrivals: vec![1.0],
             },
             100.0,
         );

@@ -1,6 +1,6 @@
 //! The fleet simulator: the one event engine every topology runs on.
 //!
-//! [`FleetSim`] drives N [`HostSim`]s on one shared deterministic
+//! [`FleetSim`] drives N `HostSim`s on one shared deterministic
 //! queue, routes each arriving request to a host at pop time through a
 //! pluggable [`Router`], and puts a control plane on top:
 //!
@@ -32,6 +32,12 @@
 //! router. A fixed fleet schedules no control ticks and no crashes, so
 //! its queue holds only host events.
 //!
+//! Tenant `i` is deployment slot `i` of every host (VM-major, then
+//! deployment). A run's arrivals come either as one list per tenant
+//! ([`FleetSim::new`], exact metrics) or as a streamed
+//! [`TraceSource`] ([`FleetSim::with_source`], bounded metrics); both
+//! reach the engine through the same lazy lookahead feed.
+//!
 //! Determinism is structural: the shared queue breaks time ties FIFO,
 //! arrivals are fed lazily in tenant order, routers are deterministic,
 //! and every random choice (crash times, victims, power-of-two probes,
@@ -52,13 +58,11 @@ use std::collections::BTreeMap;
 
 use sim_core::{DetRng, EventQueue, Histogram, Reservoir, SimDuration, SimTime, TimeSeries};
 use vmm::VmmError;
-use workloads::{FunctionKind, TraceSource};
+use workloads::{FunctionKind, MaterializedSource, TenantLoad, TraceSource};
 
-use crate::cluster::{
-    ClusterConfig, HostLoad, Router, TenantTrace, LATENCY_RESERVOIR_CAP, RESERVOIR_STREAM,
-};
+use crate::cluster::{ClusterConfig, HostLoad, Router, LATENCY_RESERVOIR_CAP, RESERVOIR_STREAM};
 use crate::config::SimConfig;
-use crate::feed::ArrivalFeed;
+use crate::feed::ArrivalStream;
 use crate::metrics::SimResult;
 use crate::sim::events::Event;
 use crate::sim::host::HostSim;
@@ -118,8 +122,8 @@ impl Default for AutoscaleOpts {
 }
 
 /// A fleet: the hosts present at time zero, a template for hosts the
-/// autoscaler boots later, the tenant traces, and the control-plane
-/// knobs.
+/// autoscaler boots later, the tenant arrival lists, and the
+/// control-plane knobs.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     /// Hosts active at the start of the run.
@@ -127,9 +131,10 @@ pub struct FleetConfig {
     /// Config cloned for every autoscaler-booted host; its jitter seed
     /// is re-derived per host so no two hosts share a stream.
     pub template: SimConfig,
-    /// The tenant traces routed across the fleet. Every host (initial
-    /// and template) must expose each tenant's `(vm, dep)` slot.
-    pub tenants: Vec<TenantTrace>,
+    /// Sorted arrival times in seconds, one list per tenant, routed
+    /// across the fleet. Tenant `i` is flattened deployment slot `i`
+    /// of every host (initial and template), as in [`ClusterConfig`].
+    pub tenants: Vec<Vec<f64>>,
     /// Autoscaling limits.
     pub autoscale: AutoscaleOpts,
     /// Failure injection.
@@ -218,15 +223,7 @@ impl FleetConfig {
             initial_hosts,
             template: host(TEMPLATE_TAG),
             slo: spec.effective_slos(tenants.iter().map(|t| t.kind)),
-            tenants: tenants
-                .into_iter()
-                .enumerate()
-                .map(|(ti, t)| TenantTrace {
-                    vm: 0,
-                    dep: ti,
-                    arrivals: t.arrivals,
-                })
-                .collect(),
+            tenants: tenants.into_iter().map(|t| t.arrivals).collect(),
             autoscale: AutoscaleOpts {
                 min_hosts: initial,
                 max_hosts,
@@ -462,9 +459,10 @@ impl FleetResult {
 pub struct FleetSim {
     duration_s: f64,
     template: SimConfig,
-    tenants: Vec<TenantTrace>,
-    /// `(vm, dep)` deployment slot → tenant index (crash requeueing),
-    /// flattened to direct indexing; `usize::MAX` marks unmapped slots.
+    /// Tenant → its `(vm, dep)` deployment slot on every host.
+    slot_of_tenant: Vec<(usize, usize)>,
+    /// `(vm, dep)` deployment slot → tenant index (crash requeueing);
+    /// `usize::MAX` marks slots no tenant drives.
     tenant_of_slot: Vec<Vec<usize>>,
     router: Box<dyn Router>,
     /// Cached [`Router::needs_loads`]: load-blind routers skip the
@@ -484,7 +482,7 @@ pub struct FleetSim {
     /// set, updated on every state change.
     active: Vec<usize>,
     events: EventQueue<FleetEvent>,
-    feed: ArrivalFeed,
+    feed: ArrivalStream,
     /// Streamed-trace runs bound their metric memory; booted hosts
     /// must inherit the discipline.
     bounded_metrics: bool,
@@ -502,50 +500,69 @@ pub struct FleetSim {
 }
 
 impl FleetSim {
-    /// Boots the initial hosts and takes the tenant traces into a lazy
-    /// feed (tenant-ordered); one sample chain per host, the control
-    /// loop (if the policy has one) and the crash plan enter the queue
-    /// up front.
+    /// Boots the initial hosts and takes the tenant arrival lists into
+    /// a lazy feed ([`MaterializedSource`], each tenant's function kind
+    /// read off its slot in the template); one sample chain per host,
+    /// the control loop (if the policy has one) and the crash plan
+    /// enter the queue up front. Metrics are exact.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the config is inconsistent: no initial host, bad
+    /// autoscale limits, a host (initial or template) whose
+    /// `duration_s` differs from the first initial host's, or one with
+    /// fewer deployment slots than there are tenants.
     pub fn new(
         mut config: FleetConfig,
         router: Box<dyn Router>,
         policy: Box<dyn AutoscalePolicy>,
     ) -> Result<FleetSim, VmmError> {
-        let duration_s = Self::check(&config);
-        let slots: Vec<Vec<f64>> = config
-            .tenants
-            .iter_mut()
-            .map(|t| std::mem::take(&mut t.arrivals))
+        let slots = Self::check(&config, config.tenants.len());
+        let loads = std::mem::take(&mut config.tenants)
+            .into_iter()
+            .zip(&slots)
+            .map(|(arrivals, &(vm, dep))| TenantLoad {
+                kind: config.template.vms[vm].deployments[dep].kind,
+                arrivals,
+            })
             .collect();
-        let feed = ArrivalFeed::merged(slots, duration_s);
-        Self::build(config, router, policy, feed, false)
+        let source = Box::new(MaterializedSource::new(loads));
+        Self::build(config, router, policy, source, "tenant lists", slots, false)
     }
 
     /// Builds a fleet whose arrivals stream from a [`TraceSource`]:
-    /// tenant index = the source's tenant column, mapped through
-    /// [`FleetConfig::tenants`] for `(vm, dep)` slots. The source is
-    /// pulled lazily during [`Self::run`], so queue depth — and with it
-    /// memory — stays proportional to in-flight work, never to trace
-    /// length. Per-host metrics run in bounded mode (reservoir
-    /// histograms, streamed usage integral), booted hosts included.
+    /// tenant `i` of the source (one per entry of
+    /// [`TraceSource::kinds`]) drives deployment slot `i` of every
+    /// host. The source is pulled lazily during [`Self::run`], so queue
+    /// depth — and with it memory — stays proportional to in-flight
+    /// work, never to trace length. Per-host metrics run in bounded
+    /// mode (reservoir histograms, streamed usage integral), booted
+    /// hosts included.
     ///
     /// `origin` labels mid-run parse failures (the path, usually).
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::new`], and if [`FleetConfig::tenants`] carries any
+    /// arrival: the source is the run's only workload.
     pub fn with_source(
-        mut config: FleetConfig,
+        config: FleetConfig,
         router: Box<dyn Router>,
         policy: Box<dyn AutoscalePolicy>,
         source: Box<dyn TraceSource>,
         origin: &str,
     ) -> Result<FleetSim, VmmError> {
-        let duration_s = Self::check(&config);
-        for t in config.tenants.iter_mut() {
-            t.arrivals.clear();
-        }
-        let feed = ArrivalFeed::stream(source, duration_s, origin);
-        Self::build(config, router, policy, feed, true)
+        assert!(
+            config.tenants.iter().all(Vec::is_empty),
+            "a streamed fleet takes its arrivals from the source, not from FleetConfig::tenants"
+        );
+        let slots = Self::check(&config, source.kinds().len());
+        Self::build(config, router, policy, source, origin, slots, true)
     }
 
-    fn check(config: &FleetConfig) -> f64 {
+    /// Validates `config` for `tenants` tenants and returns each
+    /// tenant's `(vm, dep)` slot in the template.
+    fn check(config: &FleetConfig, tenants: usize) -> Vec<(usize, usize)> {
         assert!(
             !config.initial_hosts.is_empty(),
             "a fleet needs at least one initial host"
@@ -555,17 +572,48 @@ impl FleetSim {
             config.autoscale.max_hosts >= config.autoscale.min_hosts,
             "max_hosts must be ≥ min_hosts"
         );
-        config.initial_hosts[0].duration_s
+        let duration_s = config.initial_hosts[0].duration_s;
+        let hosts = config
+            .initial_hosts
+            .iter()
+            .enumerate()
+            .map(|(h, cfg)| (format!("initial host {h}"), cfg))
+            .chain([("the template host".to_string(), &config.template)]);
+        for (name, cfg) in hosts {
+            assert!(
+                cfg.duration_s == duration_s,
+                "{name} runs for {} s, but initial host 0 runs for {duration_s} s: \
+                 a fleet's hosts share duration_s",
+                cfg.duration_s
+            );
+            let slots: usize = cfg.vms.iter().map(|v| v.deployments.len()).sum();
+            assert!(
+                slots >= tenants,
+                "{name} has {slots} deployment slots for {tenants} tenants: \
+                 tenant i runs in slot i of every host"
+            );
+        }
+        config
+            .template
+            .vms
+            .iter()
+            .enumerate()
+            .flat_map(|(vm, v)| (0..v.deployments.len()).map(move |dep| (vm, dep)))
+            .take(tenants)
+            .collect()
     }
 
     fn build(
         config: FleetConfig,
         router: Box<dyn Router>,
         policy: Box<dyn AutoscalePolicy>,
-        feed: ArrivalFeed,
+        source: Box<dyn TraceSource>,
+        origin: &str,
+        slot_of_tenant: Vec<(usize, usize)>,
         bounded_metrics: bool,
     ) -> Result<FleetSim, VmmError> {
         let duration_s = config.initial_hosts[0].duration_s;
+        let feed = ArrivalStream::new(source, duration_s, origin);
         let slots_per_host = config.slots_per_host().max(1);
         let reservoir_rng = DetRng::new(config.seed).derive(RESERVOIR_STREAM);
         let mut injector = FailureInjector::new(DetRng::new(config.seed).derive(FAILURE_STREAM));
@@ -606,23 +654,22 @@ impl FleetSim {
             );
         }
 
-        let mut tenant_of_slot: Vec<Vec<usize>> = Vec::new();
-        for (ti, t) in config.tenants.iter().enumerate() {
-            if tenant_of_slot.len() <= t.vm {
-                tenant_of_slot.resize(t.vm + 1, Vec::new());
-            }
-            if tenant_of_slot[t.vm].len() <= t.dep {
-                tenant_of_slot[t.vm].resize(t.dep + 1, usize::MAX);
-            }
-            tenant_of_slot[t.vm][t.dep] = ti;
+        let mut tenant_of_slot: Vec<Vec<usize>> = config
+            .template
+            .vms
+            .iter()
+            .map(|v| vec![usize::MAX; v.deployments.len()])
+            .collect();
+        for (tenant, &(vm, dep)) in slot_of_tenant.iter().enumerate() {
+            tenant_of_slot[vm][dep] = tenant;
         }
-        let routed = vec![vec![0; config.tenants.len()]; hosts.len()];
+        let routed = vec![vec![0; slot_of_tenant.len()]; hosts.len()];
         let mut active_hosts_over_time = TimeSeries::new();
         active_hosts_over_time.push(SimTime::ZERO, hosts.len() as f64);
         Ok(FleetSim {
             duration_s,
             template: config.template,
-            tenants: config.tenants,
+            slot_of_tenant,
             tenant_of_slot,
             router_needs_loads: router.needs_loads(),
             router,
@@ -766,7 +813,7 @@ impl FleetSim {
             }
             return;
         }
-        let t = &self.tenants[tenant];
+        let (vm, dep) = self.slot_of_tenant[tenant];
         // Load-aware routers get fresh snapshots; load-blind ones only
         // see the slice's length, which the placeholder entries keep
         // (resized only when the Active set changes size).
@@ -775,7 +822,7 @@ impl FleetSim {
             self.route_loads.extend(
                 self.active
                     .iter()
-                    .map(|&i| self.hosts[i].sim().load_snapshot(t.vm, t.dep)),
+                    .map(|&i| self.hosts[i].sim().load_snapshot(vm, dep)),
             );
         } else {
             self.route_loads.resize(
@@ -797,7 +844,6 @@ impl FleetSim {
         );
         let host = self.active[r];
         self.routed[host][tenant] += 1;
-        let (vm, dep) = (t.vm, t.dep);
         self.hosts[host].sim_mut().handle(
             now,
             Event::Arrival { vm, dep },
@@ -902,7 +948,7 @@ impl FleetSim {
                 sim.enable_bounded_metrics();
             }
             self.hosts.push(Slot::new(sim, HostState::Booting, now));
-            self.routed.push(vec![0; self.tenants.len()]);
+            self.routed.push(vec![0; self.slot_of_tenant.len()]);
             let host = self.hosts.len() - 1;
             self.events.push(
                 now + SimDuration::from_secs_f64(self.opts.boot_delay_s),
@@ -1035,7 +1081,6 @@ mod tests {
                     .map(|_| Deployment {
                         kind: FunctionKind::Html,
                         concurrency: 2,
-                        arrivals: Vec::new(),
                     })
                     .collect(),
                 vcpus: Some(2.0),
@@ -1043,7 +1088,6 @@ mod tests {
             host_capacity: u64::MAX / 2,
             keepalive_s: 15.0,
             duration_s,
-            sample_period_s: 1.0,
             unplug_deadline_ms: 5_000,
             record_latency_points: false,
             seed,
@@ -1053,7 +1097,7 @@ mod tests {
 
     fn fleet_cfg(
         initial: usize,
-        tenants: Vec<TenantTrace>,
+        tenants: Vec<Vec<f64>>,
         duration_s: f64,
         opts: AutoscaleOpts,
     ) -> FleetConfig {
@@ -1071,12 +1115,57 @@ mod tests {
         }
     }
 
-    fn burst_tenants(n_arrivals: usize, start: f64, gap: f64) -> Vec<TenantTrace> {
-        vec![TenantTrace {
-            vm: 0,
-            dep: 0,
-            arrivals: (0..n_arrivals).map(|i| start + i as f64 * gap).collect(),
-        }]
+    fn burst_tenants(n_arrivals: usize, start: f64, gap: f64) -> Vec<Vec<f64>> {
+        vec![(0..n_arrivals).map(|i| start + i as f64 * gap).collect()]
+    }
+
+    fn fixed_opts(hosts: usize) -> AutoscaleOpts {
+        AutoscaleOpts {
+            min_hosts: hosts,
+            max_hosts: hosts,
+            ..AutoscaleOpts::default()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "initial host 1 runs for 90 s, but initial host 0 runs for 60 s")]
+    fn hosts_with_different_horizons_are_rejected() {
+        let mut cfg = fleet_cfg(2, burst_tenants(4, 1.0, 0.5), 60.0, fixed_opts(2));
+        cfg.initial_hosts[1].duration_s = 90.0;
+        let _ = FleetSim::new(cfg, Box::new(RoundRobin::default()), Box::new(FixedFleet));
+    }
+
+    #[test]
+    #[should_panic(expected = "the template host runs for 90 s")]
+    fn a_template_with_another_horizon_is_rejected() {
+        let mut cfg = fleet_cfg(1, burst_tenants(4, 1.0, 0.5), 60.0, fixed_opts(1));
+        cfg.template.duration_s = 90.0;
+        let _ = FleetSim::new(cfg, Box::new(RoundRobin::default()), Box::new(FixedFleet));
+    }
+
+    #[test]
+    #[should_panic(expected = "initial host 0 has 1 deployment slots for 2 tenants")]
+    fn more_tenants_than_slots_is_rejected() {
+        let mut cfg = fleet_cfg(1, burst_tenants(4, 1.0, 0.5), 60.0, fixed_opts(1));
+        cfg.tenants.push(vec![2.0]);
+        let _ = FleetSim::new(cfg, Box::new(RoundRobin::default()), Box::new(FixedFleet));
+    }
+
+    #[test]
+    #[should_panic(expected = "a streamed fleet takes its arrivals from the source")]
+    fn a_streamed_fleet_refuses_tenant_arrivals() {
+        let cfg = fleet_cfg(1, burst_tenants(4, 1.0, 0.5), 60.0, fixed_opts(1));
+        let source = MaterializedSource::new(vec![TenantLoad {
+            kind: FunctionKind::Html,
+            arrivals: vec![1.0],
+        }]);
+        let _ = FleetSim::with_source(
+            cfg,
+            Box::new(RoundRobin::default()),
+            Box::new(FixedFleet),
+            Box::new(source),
+            "test",
+        );
     }
 
     /// Scale-down test policy: drains one host at a fixed tick.
@@ -1107,16 +1196,7 @@ mod tests {
     #[test]
     fn fixed_fleet_serves_everything_and_never_scales() {
         let tenants = burst_tenants(8, 1.0, 0.2);
-        let cfg = fleet_cfg(
-            2,
-            tenants,
-            80.0,
-            AutoscaleOpts {
-                min_hosts: 2,
-                max_hosts: 2,
-                ..AutoscaleOpts::default()
-            },
-        );
+        let cfg = fleet_cfg(2, tenants, 80.0, fixed_opts(2));
         let r = FleetSim::new(cfg, Box::new(RoundRobin::default()), Box::new(FixedFleet))
             .expect("boot")
             .run();
@@ -1272,16 +1352,7 @@ mod tests {
         // Two hosts, a long arrival train, and a forced crash window:
         // the victim's queued requests must re-route to the survivor.
         let tenants = burst_tenants(40, 1.0, 0.5);
-        let mut cfg = fleet_cfg(
-            2,
-            tenants,
-            120.0,
-            AutoscaleOpts {
-                min_hosts: 2,
-                max_hosts: 2,
-                ..AutoscaleOpts::default()
-            },
-        );
+        let mut cfg = fleet_cfg(2, tenants, 120.0, fixed_opts(2));
         cfg.failures = FailureConfig { mtbf_s: 40.0 };
         let run = || {
             FleetSim::new(

@@ -3,7 +3,7 @@
 //! Reproduces the paper's deployment (§4.2, §5) in four explicit
 //! layers:
 //!
-//! * **Backend layer** ([`backend`], internal): the pluggable
+//! * **Backend layer** (`backend`, internal): the pluggable
 //!   [`BackendKind`] elasticity backends — Static, vanilla virtio-mem,
 //!   HarvestVM-opts, Squeezy, Squeezy+soft — each in its own module
 //!   behind one `ElasticityBackend` trait (plug/scale-up cost,
@@ -54,7 +54,7 @@ pub mod sim;
 
 pub use cluster::{
     ClusterConfig, HostLoad, LeastLoaded, PowerOfTwoChoices, RoundRobin, Router, RouterKind,
-    SingleHost, TenantTrace, WarmAffinity, LATENCY_RESERVOIR_CAP,
+    SingleHost, WarmAffinity, LATENCY_RESERVOIR_CAP,
 };
 pub use config::{BackendKind, Deployment, HarvestConfig, SimConfig, VmSpec};
 pub use fleet::{

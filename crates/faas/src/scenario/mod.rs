@@ -69,12 +69,12 @@ pub(crate) const FLEET_STREAM: u64 = 0xF1EE;
 /// The workload a scenario drives: a named generator from the
 /// [`workloads::registry`], or a trace file streamed from disk.
 ///
+/// Both reach the engine through one [`workloads::TraceSource`] feed.
 /// Named workloads materialize their arrival lists up front — fine at
-/// experiment scale. `trace(<path>)` replays an on-disk trace
-/// (azure-minute or opendc, see [`workloads::TRACE_MAGIC`]) through
-/// the lazy [`workloads::TraceSource`] path instead, so a multi-day,
-/// multi-million-invocation replay never holds more than the pending
-/// events in memory. The trace file also replaces the `tenants`/`rps`
+/// experiment scale. `trace(<path>)` streams an on-disk trace
+/// (azure-minute or opendc, see [`workloads::TRACE_MAGIC`]) instead,
+/// so a multi-day, multi-million-invocation replay never holds more
+/// than the pending events in memory. The trace file also replaces the `tenants`/`rps`
 /// workload params: its `# tenants = ...` directive defines the
 /// deployment slots.
 #[derive(Clone, Debug, PartialEq)]
@@ -176,9 +176,8 @@ impl Topology {
 /// Build one in code (start from [`Scenario::new`] and set fields) or
 /// load one from a spec file with [`Scenario::parse`]. Fields that a
 /// topology does not use are simply ignored by it (`policy` on a
-/// cluster, `router` on a single VM), the same way host configs inside
-/// a [`ClusterConfig`] ignore their arrival lists; [`Scenario::validate`]
-/// checks values and cross-field consistency up front with real error
+/// cluster, `router` on a single VM); [`Scenario::validate`] checks
+/// values and cross-field consistency up front with real error
 /// messages.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Scenario {
@@ -479,9 +478,8 @@ impl Scenario {
             .seed()
     }
 
-    /// The per-host base config every topology clones: deployment
-    /// slots for each tenant, arrivals left empty (the fleet's tenant
-    /// traces own them).
+    /// The per-host base config every topology clones: one deployment
+    /// slot per tenant, in tenant order.
     pub(crate) fn host_config(
         &self,
         tenants: &[TenantLoad],
@@ -498,7 +496,6 @@ impl Scenario {
                     .map(|t| crate::config::Deployment {
                         kind: t.kind,
                         concurrency: self.concurrency,
-                        arrivals: Vec::new(),
                     })
                     .collect(),
                 vcpus: None,
@@ -506,7 +503,6 @@ impl Scenario {
             host_capacity: self.host_capacity,
             keepalive_s: self.keepalive_s,
             duration_s: self.params.duration_s,
-            sample_period_s: 1.0,
             unplug_deadline_ms: 5_000,
             record_latency_points: false,
             seed,

@@ -35,6 +35,9 @@ const EPS_CPU: f64 = 1e-9;
 /// host config's seed), distinct from the jitter/trace/reservoir tags.
 const METRICS_STREAM: u64 = 0xB0D5;
 
+/// Period of the host's memory and instance-count samples, in seconds.
+const SAMPLE_PERIOD_S: f64 = 1.0;
+
 /// Per-VM agent state: the booted VM, its CPU pool, live instances and
 /// request queues.
 pub(crate) struct VmRt {
@@ -559,7 +562,7 @@ impl HostSim {
                 v.inst_series.push(now, v.instances.len() as f64);
             }
         }
-        let next = now + SimDuration::from_secs_f64(self.config.sample_period_s);
+        let next = now + SimDuration::from_secs_f64(SAMPLE_PERIOD_S);
         if next.as_secs_f64() <= self.config.duration_s {
             q.push(next, Event::Sample);
         }

@@ -7,18 +7,20 @@
 //! (evict + reclaim) when the window expires. The elasticity backend —
 //! Static, vanilla virtio-mem, HarvestVM-opts, Squeezy, or Squeezy with
 //! §7 soft memory — decides how guest memory is plugged and reclaimed
-//! and at what cost, through the [`crate::backend`] hook layer.
+//! and at what cost, through the crate's internal `backend` hook layer.
 //!
-//! The module is split by concern:
+//! The module is split by concern (all three are crate-internal):
 //!
-//! * [`events`] — the event vocabulary of one host;
-//! * [`instance`] — per-instance lifecycle state;
-//! * [`host`] — one host's event handlers (`HostSim`), backend
+//! * `events` — the event vocabulary of one host;
+//! * `instance` — per-instance lifecycle state;
+//! * `host` — one host's event handlers (`HostSim`), backend
 //!   agnostic.
 //!
 //! There is one event engine, [`crate::FleetSim`]. [`FaasSim`] — the
 //! paper's single-host deployment — is a one-host fixed fleet behind
-//! the [`SingleHost`] router, returning that host's result.
+//! the [`SingleHost`] router, returning that host's result. It takes
+//! one arrival list per deployment slot, the same tenant-is-slot
+//! contract as [`ClusterConfig`].
 //!
 //! Time is event-driven; CPU contention inside each VM is the fluid
 //! model of [`sim_core::CpuPool`], so a virtio-mem driver kthread
@@ -30,7 +32,6 @@ pub(crate) mod host;
 pub(crate) mod instance;
 
 use vmm::VmmError;
-use workloads::TraceSource;
 
 use crate::cluster::{ClusterConfig, SingleHost};
 use crate::config::SimConfig;
@@ -44,51 +45,27 @@ pub struct FaasSim {
 
 impl FaasSim {
     /// Builds a simulation: boots the VMs, installs the backend, and
-    /// takes the configured arrival traces into a lazy feed.
-    pub fn new(config: SimConfig) -> Result<FaasSim, VmmError> {
+    /// takes the arrival lists into a lazy feed. `arrivals[i]` holds
+    /// the sorted arrival times (seconds) of deployment slot `i`,
+    /// counting slots VM-major, then deployment.
+    pub fn new(config: SimConfig, arrivals: Vec<Vec<f64>>) -> Result<FaasSim, VmmError> {
         let seed = config.seed;
+        let cluster = ClusterConfig {
+            hosts: vec![config],
+            tenants: arrivals,
+        };
         let fleet = FleetSim::new(
-            FleetConfig::fixed(ClusterConfig::from_single(config), seed),
+            FleetConfig::fixed(cluster, seed),
             Box::new(SingleHost),
             Box::new(FixedFleet),
-        )?;
-        Ok(FaasSim { fleet })
-    }
-
-    /// Builds a simulation fed by a streaming trace source instead of
-    /// materialized arrival lists: tenant `i` of the trace addresses
-    /// the host's `i`-th deployment slot (flattened `(vm, dep)` order).
-    /// Metrics run in bounded mode — per-request accumulators are
-    /// capped reservoirs and time series are replaced by streaming
-    /// integrals — so memory stays constant over multi-million-
-    /// invocation replays. `origin` names the trace in diagnostics.
-    pub fn with_source(
-        config: SimConfig,
-        source: Box<dyn TraceSource>,
-        origin: &str,
-    ) -> Result<FaasSim, VmmError> {
-        let seed = config.seed;
-        let fleet = FleetSim::with_source(
-            FleetConfig::fixed(ClusterConfig::from_single(config), seed),
-            Box::new(SingleHost),
-            Box::new(FixedFleet),
-            source,
-            origin,
         )?;
         Ok(FaasSim { fleet })
     }
 
     /// Runs the simulation to completion and returns the results.
     pub fn run(self) -> SimResult {
-        self.run_counted().0
-    }
-
-    /// Like [`Self::run`], also returning how many arrivals the feed
-    /// injected (the offered-load count for trace-driven runs).
-    pub fn run_counted(self) -> (SimResult, u64) {
         let out = self.fleet.run();
-        let host = out.hosts.into_iter().next().expect("one host");
-        (host.result, out.injected)
+        out.hosts.into_iter().next().expect("one host").result
     }
 }
 
@@ -99,7 +76,7 @@ mod tests {
     use mem_types::GIB;
     use workloads::FunctionKind;
 
-    fn simple_config(backend: BackendKind, arrivals: Vec<f64>) -> SimConfig {
+    fn simple_config(backend: BackendKind) -> SimConfig {
         SimConfig {
             backend,
             harvest: HarvestConfig::default(),
@@ -107,14 +84,12 @@ mod tests {
                 deployments: vec![Deployment {
                     kind: FunctionKind::Html,
                     concurrency: 4,
-                    arrivals,
                 }],
                 vcpus: Some(2.0),
             }],
             host_capacity: u64::MAX / 2,
             keepalive_s: 20.0,
             duration_s: 120.0,
-            sample_period_s: 1.0,
             unplug_deadline_ms: 5_000,
             record_latency_points: true,
             seed: 1,
@@ -131,7 +106,7 @@ mod tests {
             BackendKind::HarvestOpts,
             BackendKind::SqueezySoft,
         ] {
-            let sim = FaasSim::new(simple_config(backend, vec![1.0])).unwrap();
+            let sim = FaasSim::new(simple_config(backend), vec![vec![1.0]]).unwrap();
             let mut result = sim.run();
             assert_eq!(result.completed, 1, "{backend:?}");
             let p99 = result.p99_ms(FunctionKind::Html);
@@ -144,7 +119,7 @@ mod tests {
     #[test]
     fn warm_requests_are_fast() {
         // Two requests 5 s apart: the second reuses the warm instance.
-        let sim = FaasSim::new(simple_config(BackendKind::Squeezy, vec![1.0, 6.0])).unwrap();
+        let sim = FaasSim::new(simple_config(BackendKind::Squeezy), vec![vec![1.0, 6.0]]).unwrap();
         let result = sim.run();
         assert_eq!(result.completed, 2);
         let m = &result.per_func[&FunctionKind::Html];
@@ -168,12 +143,13 @@ mod tests {
         // With recording off, memory stays bounded by the histogram
         // sample count and the points vector never grows — but the
         // aggregate latency metrics are unaffected.
-        let mut on = simple_config(BackendKind::Squeezy, vec![1.0, 6.0, 7.0]);
+        let mut on = simple_config(BackendKind::Squeezy);
         on.record_latency_points = true;
         let mut off = on.clone();
         off.record_latency_points = false;
-        let r_on = FaasSim::new(on).unwrap().run();
-        let r_off = FaasSim::new(off).unwrap().run();
+        let arrivals = vec![vec![1.0, 6.0, 7.0]];
+        let r_on = FaasSim::new(on, arrivals.clone()).unwrap().run();
+        let r_off = FaasSim::new(off, arrivals).unwrap().run();
         let m_on = &r_on.per_func[&FunctionKind::Html];
         let m_off = &r_off.per_func[&FunctionKind::Html];
         assert_eq!(m_on.latency_points.len(), 3);
@@ -188,7 +164,7 @@ mod tests {
 
     #[test]
     fn keepalive_evicts_and_squeezy_reclaims() {
-        let sim = FaasSim::new(simple_config(BackendKind::Squeezy, vec![1.0])).unwrap();
+        let sim = FaasSim::new(simple_config(BackendKind::Squeezy), vec![vec![1.0]]).unwrap();
         let result = sim.run();
         let r = result.total_reclaims();
         assert_eq!(r.ops, 1, "one eviction-driven reclaim");
@@ -201,10 +177,10 @@ mod tests {
         // Two staggered instances: the second keeps running while the
         // first is evicted, so its pages interleave with the victim's
         // blocks and must be migrated.
-        let sim = FaasSim::new(simple_config(
-            BackendKind::VirtioMem,
-            vec![1.0, 1.1, 30.0, 35.0, 40.0, 45.0, 50.0, 55.0, 60.0],
-        ))
+        let sim = FaasSim::new(
+            simple_config(BackendKind::VirtioMem),
+            vec![vec![1.0, 1.1, 30.0, 35.0, 40.0, 45.0, 50.0, 55.0, 60.0]],
+        )
         .unwrap();
         let result = sim.run();
         assert!(result.completed >= 9);
@@ -219,10 +195,10 @@ mod tests {
     #[test]
     fn squeezy_reclaim_throughput_beats_virtio() {
         let arrivals: Vec<f64> = vec![1.0, 1.05, 1.1, 1.15]; // 4 concurrent cold starts
-        let sq = FaasSim::new(simple_config(BackendKind::Squeezy, arrivals.clone()))
+        let sq = FaasSim::new(simple_config(BackendKind::Squeezy), vec![arrivals.clone()])
             .unwrap()
             .run();
-        let vt = FaasSim::new(simple_config(BackendKind::VirtioMem, arrivals))
+        let vt = FaasSim::new(simple_config(BackendKind::VirtioMem), vec![arrivals])
             .unwrap()
             .run();
         let sq_tp = sq.total_reclaims().throughput_mibs();
@@ -236,7 +212,7 @@ mod tests {
 
     #[test]
     fn static_backend_never_releases_host_memory() {
-        let sim = FaasSim::new(simple_config(BackendKind::Static, vec![1.0])).unwrap();
+        let sim = FaasSim::new(simple_config(BackendKind::Static), vec![vec![1.0]]).unwrap();
         let result = sim.run();
         assert_eq!(result.total_reclaims().ops, 0);
         // Host usage never decreases (Figure 1's flat host line).
@@ -250,7 +226,7 @@ mod tests {
     fn concurrency_limit_caps_instances() {
         // 10 simultaneous arrivals but concurrency 4.
         let arrivals: Vec<f64> = (0..10).map(|i| 1.0 + i as f64 * 0.01).collect();
-        let sim = FaasSim::new(simple_config(BackendKind::Squeezy, arrivals)).unwrap();
+        let sim = FaasSim::new(simple_config(BackendKind::Squeezy), vec![arrivals]).unwrap();
         let result = sim.run();
         assert_eq!(result.completed, 10, "all requests eventually served");
         let peak_instances = result.instance_counts[0].max_value();
@@ -261,10 +237,10 @@ mod tests {
     fn restricted_host_forces_evictions() {
         // Host fits the VM boot + ~2 instances; 4 sequential bursts force
         // evict-to-scale cycles.
-        let mut cfg = simple_config(BackendKind::Squeezy, vec![1.0, 1.05, 80.0, 80.05]);
+        let mut cfg = simple_config(BackendKind::Squeezy);
         cfg.keepalive_s = 10.0;
         cfg.host_capacity = 3 * GIB;
-        let sim = FaasSim::new(cfg).unwrap();
+        let sim = FaasSim::new(cfg, vec![vec![1.0, 1.05, 80.0, 80.05]]).unwrap();
         let result = sim.run();
         assert_eq!(result.completed, 4, "all served despite pressure");
     }
@@ -282,12 +258,10 @@ mod tests {
                     Deployment {
                         kind: FunctionKind::Html,
                         concurrency: 2,
-                        arrivals: vec![1.0, 1.05],
                     },
                     Deployment {
                         kind: FunctionKind::Html,
                         concurrency: 2,
-                        arrivals: vec![40.0, 40.05],
                     },
                 ],
                 vcpus: Some(2.0),
@@ -295,7 +269,6 @@ mod tests {
             host_capacity: 4 * GIB + 512 * (1 << 20),
             keepalive_s: 300.0, // Longer than the run: no evictions.
             duration_s: 120.0,
-            sample_period_s: 1.0,
             unplug_deadline_ms: 5_000,
             record_latency_points: true,
             seed: 1,
@@ -304,7 +277,7 @@ mod tests {
         // Calibrate the host so the second burst cannot fit without
         // reclaiming the first burst's idle memory.
         cfg.host_capacity = 3 * GIB;
-        let sim = FaasSim::new(cfg).unwrap();
+        let sim = FaasSim::new(cfg, vec![vec![1.0, 1.05], vec![40.0, 40.05]]).unwrap();
         let result = sim.run();
         assert_eq!(result.completed, 4, "all served under pressure");
         let r = result.total_reclaims();
@@ -317,10 +290,10 @@ mod tests {
         // Same function, two bursts; pressure between them revokes the
         // idle instances, and the second burst rebuilds them (soft-cold
         // start) rather than paying full cold starts.
-        let mut cfg = simple_config(BackendKind::SqueezySoft, vec![1.0, 1.05, 60.0, 60.05]);
+        let mut cfg = simple_config(BackendKind::SqueezySoft);
         cfg.keepalive_s = 300.0;
         cfg.host_capacity = 3 * GIB;
-        let sim = FaasSim::new(cfg).unwrap();
+        let sim = FaasSim::new(cfg, vec![vec![1.0, 1.05, 60.0, 60.05]]).unwrap();
         let result = sim.run();
         assert_eq!(result.completed, 4);
         let m = &result.per_func[&FunctionKind::Html];
@@ -331,10 +304,13 @@ mod tests {
 
     #[test]
     fn soft_backend_without_pressure_behaves_like_squeezy() {
-        let soft = FaasSim::new(simple_config(BackendKind::SqueezySoft, vec![1.0, 6.0]))
-            .unwrap()
-            .run();
-        let base = FaasSim::new(simple_config(BackendKind::Squeezy, vec![1.0, 6.0]))
+        let soft = FaasSim::new(
+            simple_config(BackendKind::SqueezySoft),
+            vec![vec![1.0, 6.0]],
+        )
+        .unwrap()
+        .run();
+        let base = FaasSim::new(simple_config(BackendKind::Squeezy), vec![vec![1.0, 6.0]])
             .unwrap()
             .run();
         assert_eq!(soft.completed, base.completed);
@@ -349,12 +325,18 @@ mod tests {
 
     #[test]
     fn deterministic_runs() {
-        let a = FaasSim::new(simple_config(BackendKind::VirtioMem, vec![1.0, 2.0, 3.0]))
-            .unwrap()
-            .run();
-        let b = FaasSim::new(simple_config(BackendKind::VirtioMem, vec![1.0, 2.0, 3.0]))
-            .unwrap()
-            .run();
+        let a = FaasSim::new(
+            simple_config(BackendKind::VirtioMem),
+            vec![vec![1.0, 2.0, 3.0]],
+        )
+        .unwrap()
+        .run();
+        let b = FaasSim::new(
+            simple_config(BackendKind::VirtioMem),
+            vec![vec![1.0, 2.0, 3.0]],
+        )
+        .unwrap()
+        .run();
         assert_eq!(a.completed, b.completed);
         let la: Vec<_> = a.per_func[&FunctionKind::Html]
             .latency_points

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use faas::config::{BackendKind, Deployment, HarvestConfig, SimConfig, VmSpec};
-use faas::{ClusterConfig, FaasSim, FixedFleet, FleetConfig, FleetSim, LeastLoaded, TenantTrace};
+use faas::{ClusterConfig, FaasSim, FixedFleet, FleetConfig, FleetSim, LeastLoaded};
 use workloads::FunctionKind;
 
 /// A pass-through allocator that counts allocation calls.
@@ -54,7 +54,7 @@ static SERIAL: Mutex<()> = Mutex::new(());
 /// A warm drumbeat: fixed-cadence arrivals on one Html deployment, far
 /// inside the keep-alive window, so after the first cold start every
 /// invocation runs the steady-state dispatch/complete path.
-fn drumbeat(duration_s: f64) -> (SimConfig, u64) {
+fn drumbeat(duration_s: f64) -> (SimConfig, Vec<f64>) {
     let gap = 0.1;
     let mut arrivals = Vec::new();
     let mut t = 0.05;
@@ -62,7 +62,6 @@ fn drumbeat(duration_s: f64) -> (SimConfig, u64) {
         arrivals.push(t);
         t += gap;
     }
-    let n = arrivals.len() as u64;
     let cfg = SimConfig {
         backend: BackendKind::Squeezy,
         harvest: HarvestConfig::default(),
@@ -70,28 +69,27 @@ fn drumbeat(duration_s: f64) -> (SimConfig, u64) {
             deployments: vec![Deployment {
                 kind: FunctionKind::Html,
                 concurrency: 2,
-                arrivals,
             }],
             vcpus: Some(4.0),
         }],
         host_capacity: u64::MAX / 2,
         keepalive_s: 60.0,
         duration_s,
-        sample_period_s: 1.0,
         unplug_deadline_ms: 5_000,
         record_latency_points: false,
         seed: 0x57EAD,
         trial: 0,
     };
-    (cfg, n)
+    (cfg, arrivals)
 }
 
 /// Allocation calls spent inside `run()` for a single-host drumbeat
 /// of `duration_s` (setup is excluded: booting VMs legitimately
 /// allocates).
 fn single_host_allocs(duration_s: f64) -> (u64, u64) {
-    let (cfg, n) = drumbeat(duration_s);
-    let sim = FaasSim::new(cfg).expect("host boots");
+    let (cfg, arrivals) = drumbeat(duration_s);
+    let n = arrivals.len() as u64;
+    let sim = FaasSim::new(cfg, vec![arrivals]).expect("host boots");
     let before = ALLOCS.load(Ordering::Relaxed);
     let result = sim.run();
     let spent = ALLOCS.load(Ordering::Relaxed) - before;
@@ -118,11 +116,7 @@ fn fleet_allocs(duration_s: f64) -> (u64, u64) {
                 ..cfg.clone()
             })
             .collect(),
-        tenants: vec![TenantTrace {
-            vm: 0,
-            dep: 0,
-            arrivals,
-        }],
+        tenants: vec![arrivals],
     };
     let sim = FleetSim::new(
         FleetConfig::fixed(cluster, cfg.seed),

@@ -16,34 +16,33 @@ use workloads::FunctionKind;
 
 /// An unconstrained host: cold/warm starts, keep-alive evictions and
 /// backend reclaims, no memory pressure.
-fn ample(backend: BackendKind) -> SimConfig {
-    SimConfig {
+fn ample(backend: BackendKind) -> (SimConfig, Vec<Vec<f64>>) {
+    let cfg = SimConfig {
         backend,
         harvest: HarvestConfig::default(),
         vms: vec![VmSpec {
             deployments: vec![Deployment {
                 kind: FunctionKind::Html,
                 concurrency: 4,
-                arrivals: vec![1.0, 1.05, 1.1, 6.0, 30.0, 30.05],
             }],
             vcpus: Some(2.0),
         }],
         host_capacity: u64::MAX / 2,
         keepalive_s: 20.0,
         duration_s: 120.0,
-        sample_period_s: 1.0,
         unplug_deadline_ms: 5_000,
         record_latency_points: true,
         seed: 1,
         trial: 0,
-    }
+    };
+    (cfg, vec![vec![1.0, 1.05, 1.1, 6.0, 30.0, 30.05]])
 }
 
 /// A tight host (1.5 GiB): admission pressure, evict-to-scale cycles
 /// and — for SqueezySoft — soft revocation plus hollow-instance
 /// rebuilds. All five backends produce distinct digests here.
-fn tight(backend: BackendKind) -> SimConfig {
-    SimConfig {
+fn tight(backend: BackendKind) -> (SimConfig, Vec<Vec<f64>>) {
+    let cfg = SimConfig {
         backend,
         harvest: HarvestConfig {
             buffer_bytes: GIB,
@@ -54,12 +53,10 @@ fn tight(backend: BackendKind) -> SimConfig {
                 Deployment {
                     kind: FunctionKind::Html,
                     concurrency: 2,
-                    arrivals: vec![1.0, 1.05, 80.0, 80.05],
                 },
                 Deployment {
                     kind: FunctionKind::Html,
                     concurrency: 2,
-                    arrivals: vec![40.0, 40.05],
                 },
             ],
             vcpus: Some(2.0),
@@ -67,19 +64,20 @@ fn tight(backend: BackendKind) -> SimConfig {
         host_capacity: 1536 * MIB,
         keepalive_s: 300.0,
         duration_s: 120.0,
-        sample_period_s: 1.0,
         unplug_deadline_ms: 5_000,
         record_latency_points: true,
         seed: 7,
         trial: 2,
-    }
+    };
+    (cfg, vec![vec![1.0, 1.05, 80.0, 80.05], vec![40.0, 40.05]])
 }
 
-fn digest_table(make: fn(BackendKind) -> SimConfig) -> String {
+fn digest_table(make: fn(BackendKind) -> (SimConfig, Vec<Vec<f64>>)) -> String {
     BackendKind::ALL
         .iter()
         .map(|&b| {
-            let result = FaasSim::new(make(b)).expect("boot").run();
+            let (cfg, arrivals) = make(b);
+            let result = FaasSim::new(cfg, arrivals).expect("boot").run();
             format!("{b:?}:{:016x}", result.digest())
         })
         .collect::<Vec<_>>()
@@ -118,17 +116,15 @@ SqueezySoft:3c607dcfac0b4aa0";
 /// the digest.
 #[test]
 fn digest_discriminates_and_is_query_order_independent() {
-    let a = FaasSim::new(ample(BackendKind::Squeezy))
-        .expect("boot")
-        .run()
-        .digest();
-    let mut b = FaasSim::new(ample(BackendKind::Squeezy))
-        .expect("boot")
-        .run();
+    let run = |(cfg, arrivals): (SimConfig, Vec<Vec<f64>>)| {
+        FaasSim::new(cfg, arrivals).expect("boot").run()
+    };
+    let a = run(ample(BackendKind::Squeezy)).digest();
+    let mut b = run(ample(BackendKind::Squeezy));
     let _ = b.p99_ms(FunctionKind::Html);
     assert_eq!(a, b.digest(), "quantile queries don't perturb the digest");
-    let mut cfg = ample(BackendKind::Squeezy);
+    let (mut cfg, arrivals) = ample(BackendKind::Squeezy);
     cfg.seed = 2;
-    let c = FaasSim::new(cfg).expect("boot").run().digest();
+    let c = run((cfg, arrivals)).digest();
     assert_ne!(a, c);
 }

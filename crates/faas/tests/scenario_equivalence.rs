@@ -14,7 +14,7 @@
 use faas::{
     default_slos, AutoscaleOpts, BackendKind, ClusterConfig, Deployment, FaasSim, FailureConfig,
     FixedFleet, FleetConfig, FleetSim, HarvestConfig, PolicyKind, PowerOfTwoChoices, RouterKind,
-    Scenario, SimConfig, SlamSlo, SweepSpec, TenantTrace, Topology, VmSpec, WarmAffinity,
+    Scenario, SimConfig, SlamSlo, SweepSpec, Topology, VmSpec, WarmAffinity,
 };
 use mem_types::GIB;
 use sim_core::{DetRng, ExpOpts};
@@ -51,7 +51,6 @@ fn hand_host_config(
                 .map(|t| Deployment {
                     kind: t.kind,
                     concurrency: spec.concurrency,
-                    arrivals: Vec::new(),
                 })
                 .collect(),
             vcpus: None,
@@ -59,7 +58,6 @@ fn hand_host_config(
         host_capacity: spec.host_capacity,
         keepalive_s: spec.keepalive_s,
         duration_s: spec.params.duration_s,
-        sample_period_s: 1.0,
         unplug_deadline_ms: 5_000,
         record_latency_points: false,
         seed,
@@ -67,16 +65,8 @@ fn hand_host_config(
     }
 }
 
-fn tenant_traces(tenants: &[TenantLoad]) -> Vec<TenantTrace> {
-    tenants
-        .iter()
-        .enumerate()
-        .map(|(ti, t)| TenantTrace {
-            vm: 0,
-            dep: ti,
-            arrivals: t.arrivals.clone(),
-        })
-        .collect()
+fn tenant_traces(tenants: &[TenantLoad]) -> Vec<Vec<f64>> {
+    tenants.iter().map(|t| t.arrivals.clone()).collect()
 }
 
 #[test]
@@ -101,11 +91,10 @@ fn single_vm_scenario_is_byte_identical_to_hand_built_sim_config() {
                 WorkloadKind::AzureTrace.generate(&spec.params, &mut trace_rng(spec.seed, trial));
             let mut cfg =
                 hand_host_config(&spec, &tenants, backend, host_seed(spec.seed, 0), trial);
-            for (dep, t) in cfg.vms[0].deployments.iter_mut().zip(&tenants) {
-                dep.arrivals = t.arrivals.clone();
-            }
             cfg.record_latency_points = true;
-            let hand = FaasSim::new(cfg).expect("boot").run();
+            let hand = FaasSim::new(cfg, tenant_traces(&tenants))
+                .expect("boot")
+                .run();
 
             let out = spec.run_trial(backend, trial);
             assert_eq!(

@@ -3,14 +3,15 @@
 //! Two pins, per the trace-ingestion design:
 //!
 //! * **Streamed ≡ materialized** — a workload generated in memory and
-//!   replayed through [`workloads::MaterializedSource`] produces the
-//!   same completions, routing, and reservoir timeline as the legacy
-//!   path that hands the simulators materialized arrival lists. The
-//!   only sanctioned difference is the metrics discipline: streamed
-//!   runs bound their per-function accumulators (capped reservoir
-//!   histograms, streamed usage integral, empty time series), so the
-//!   order-sensitive outcomes are compared field by field instead of
-//!   by whole-result digest.
+//!   replayed through `FleetSim::with_source` over a
+//!   [`workloads::MaterializedSource`] produces the same completions,
+//!   routing, and reservoir timeline as handing the same arrival lists
+//!   to `FleetSim::new` (or `FaasSim::new`). Both feed the arrivals
+//!   through the one lookahead feed; the only sanctioned difference is
+//!   the metrics discipline: streamed runs bound their per-function
+//!   accumulators (capped reservoir histograms, streamed usage
+//!   integral, empty time series), so the order-sensitive outcomes are
+//!   compared field by field instead of by whole-result digest.
 //! * **File-streamed ≡ in-memory-streamed** — the same arrival stream
 //!   read back from an on-disk trace file is *byte-identical* (full
 //!   per-host digests) to streaming it from memory: the parser adds
@@ -20,7 +21,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use faas::{
-    ClusterConfig, FaasSim, FixedFleet, FleetConfig, FleetSim, RoundRobin, SimConfig, TenantTrace,
+    ClusterConfig, FaasSim, FixedFleet, FleetConfig, FleetSim, RoundRobin, SimConfig, SingleHost,
     LATENCY_RESERVOIR_CAP,
 };
 use sim_core::DetRng;
@@ -51,7 +52,6 @@ fn host_cfg(tenants: &[TenantLoad], seed: u64, duration_s: f64) -> SimConfig {
                 .map(|t| Deployment {
                     kind: t.kind,
                     concurrency: 2,
-                    arrivals: Vec::new(),
                 })
                 .collect(),
             vcpus: Some(2.0),
@@ -59,7 +59,6 @@ fn host_cfg(tenants: &[TenantLoad], seed: u64, duration_s: f64) -> SimConfig {
         host_capacity: 6 * mem_types::GIB,
         keepalive_s: 15.0,
         duration_s,
-        sample_period_s: 1.0,
         unplug_deadline_ms: 5_000,
         record_latency_points: false,
         seed,
@@ -76,19 +75,11 @@ fn cluster_fleet(tenants: &[TenantLoad], with_arrivals: bool) -> FleetConfig {
 fn cluster_cfg(tenants: &[TenantLoad], with_arrivals: bool) -> ClusterConfig {
     ClusterConfig {
         hosts: (0..2).map(|h| host_cfg(tenants, 0xE0 + h, 90.0)).collect(),
-        tenants: tenants
-            .iter()
-            .enumerate()
-            .map(|(ti, t)| TenantTrace {
-                vm: 0,
-                dep: ti,
-                arrivals: if with_arrivals {
-                    t.arrivals.clone()
-                } else {
-                    Vec::new()
-                },
-            })
-            .collect(),
+        tenants: if with_arrivals {
+            tenants.iter().map(|t| t.arrivals.clone()).collect()
+        } else {
+            Vec::new()
+        },
     }
 }
 
@@ -204,18 +195,24 @@ fn fleet_streamed_replay_matches_the_materialized_path() {
 #[test]
 fn single_vm_streamed_replay_matches_the_materialized_path() {
     let tenants = loads(0x51);
-    let mut cfg = host_cfg(&tenants, 0xAB, 90.0);
-    for (dep, t) in cfg.vms[0].deployments.iter_mut().zip(&tenants) {
-        dep.arrivals = t.arrivals.clone();
-    }
-    let legacy = FaasSim::new(cfg).expect("boot").run();
-    let (streamed, injected) = FaasSim::with_source(
-        host_cfg(&tenants, 0xAB, 90.0),
+    let arrivals = tenants.iter().map(|t| t.arrivals.clone()).collect();
+    let legacy = FaasSim::new(host_cfg(&tenants, 0xAB, 90.0), arrivals)
+        .expect("boot")
+        .run();
+    let cluster = ClusterConfig {
+        hosts: vec![host_cfg(&tenants, 0xAB, 90.0)],
+        tenants: Vec::new(),
+    };
+    let run = FleetSim::with_source(
+        FleetConfig::fixed(cluster, 0xAB),
+        Box::new(SingleHost),
+        Box::new(FixedFleet),
         Box::new(MaterializedSource::new(tenants.clone())),
         "materialized",
     )
     .expect("boot")
-    .run_counted();
+    .run();
+    let (streamed, injected) = (&run.hosts[0].result, run.injected);
 
     let offered: usize = tenants
         .iter()

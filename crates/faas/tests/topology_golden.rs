@@ -21,7 +21,7 @@
 use faas::{
     BackendKind, ClusterConfig, Deployment, FaasSim, FixedFleet, FleetConfig, FleetSim,
     HarvestConfig, LeastLoaded, PowerOfTwoChoices, RoundRobin, Router, SimConfig, SweepSpec,
-    TenantTrace, VmSpec, WarmAffinity, WorkloadSpec,
+    VmSpec, WarmAffinity, WorkloadSpec,
 };
 use mem_types::GIB;
 use sim_core::{DetRng, ExpOpts};
@@ -41,23 +41,24 @@ fn bursty(rng: &mut DetRng, duration_s: f64, stream: u64) -> Vec<f64> {
 
 // --- Single host -----------------------------------------------------------
 
-fn random_single(rng: &mut DetRng) -> SimConfig {
+/// A random one-host config and its per-slot arrival lists.
+fn random_single(rng: &mut DetRng) -> (SimConfig, Vec<Vec<f64>>) {
     let backends = BackendKind::ALL;
     let backend = backends[rng.range(0, backends.len() as u64) as usize];
     let kinds = [FunctionKind::Html, FunctionKind::Cnn, FunctionKind::Bfs];
     let duration_s = 120.0;
     let ndeps = 1 + rng.range(0, 2) as usize;
-    let deployments = (0..ndeps)
+    let (arrivals, deployments) = (0..ndeps)
         .map(|d| {
             let arrivals = bursty(rng, duration_s, d as u64 + 1);
-            Deployment {
+            let deployment = Deployment {
                 kind: kinds[rng.range(0, kinds.len() as u64) as usize],
                 concurrency: 2 + rng.range(0, 3) as u32,
-                arrivals,
-            }
+            };
+            (arrivals, deployment)
         })
-        .collect();
-    SimConfig {
+        .unzip();
+    let cfg = SimConfig {
         backend,
         harvest: HarvestConfig::default(),
         vms: vec![VmSpec {
@@ -72,12 +73,12 @@ fn random_single(rng: &mut DetRng) -> SimConfig {
         },
         keepalive_s: rng.range_f64(10.0, 40.0),
         duration_s,
-        sample_period_s: 1.0,
         unplug_deadline_ms: 5_000,
         record_latency_points: rng.chance(0.5),
         seed: rng.range(0, 1 << 32),
         trial: rng.range(0, 8),
-    }
+    };
+    (cfg, arrivals)
 }
 
 #[test]
@@ -99,9 +100,9 @@ fn single_host_digests_are_pinned() {
     let mut rng = DetRng::new(0x50C1E7);
     let got: String = (0..12)
         .map(|case| {
-            let cfg = random_single(&mut rng);
+            let (cfg, arrivals) = random_single(&mut rng);
             let backend = cfg.backend;
-            let r = FaasSim::new(cfg).expect("boot").run();
+            let r = FaasSim::new(cfg, arrivals).expect("boot").run();
             format!("{case}:{backend:?}:{:016x}:{}\n", r.digest(), r.completed)
         })
         .collect();
@@ -121,7 +122,6 @@ fn random_host(rng: &mut DetRng, tenants: usize, duration_s: f64) -> SimConfig {
                 .map(|d| Deployment {
                     kind: kinds[d % kinds.len()],
                     concurrency: 2 + rng.range(0, 3) as u32,
-                    arrivals: Vec::new(),
                 })
                 .collect(),
             vcpus: Some(2.0),
@@ -133,7 +133,6 @@ fn random_host(rng: &mut DetRng, tenants: usize, duration_s: f64) -> SimConfig {
         },
         keepalive_s: rng.range_f64(10.0, 40.0),
         duration_s,
-        sample_period_s: 1.0,
         unplug_deadline_ms: 5_000,
         record_latency_points: rng.chance(0.5),
         seed: rng.range(0, 1 << 32),
@@ -149,11 +148,7 @@ fn random_cluster(rng: &mut DetRng) -> ClusterConfig {
         .map(|_| random_host(rng, ntenants, duration_s))
         .collect();
     let tenants = (0..ntenants)
-        .map(|d| TenantTrace {
-            vm: 0,
-            dep: d,
-            arrivals: bursty(rng, duration_s, d as u64 + 1),
-        })
+        .map(|d| bursty(rng, duration_s, d as u64 + 1))
         .collect();
     ClusterConfig { hosts, tenants }
 }

@@ -7,7 +7,7 @@
 //! structs), similar to ZONE_MOVABLE", §4.1).
 //!
 //! Each zone owns per-order intrusive free lists threaded through the
-//! [`PageDesc`](crate::page::PageDesc) words, exactly like the kernel's
+//! [`PageDesc`] words, exactly like the kernel's
 //! `free_area[]`, giving O(1) allocation, free and buddy merging.
 
 use mem_types::{FrameRange, Gfn};

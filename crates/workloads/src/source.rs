@@ -16,9 +16,10 @@
 //!   (memory: one minute of arrivals).
 //! * [`OpenDcSource`] — OpenDC-style rows carrying exact timestamps
 //!   plus duration/memory hints (memory: one row).
-//! * [`MaterializedSource`] — an adapter wrapping the existing
-//!   materialized generators ([`WorkloadKind::generate`]), so all
-//!   workloads flow through the one interface.
+//! * [`MaterializedSource`] — an adapter merging materialized
+//!   per-tenant arrival lists (the output of
+//!   [`crate::WorkloadKind::generate`]), so generated workloads flow
+//!   through the one interface too.
 //!
 //! The container that grows this repo is offline, so committed sample
 //! traces under `examples/traces/` are *rendered* by the deterministic
@@ -39,7 +40,6 @@ use std::io::{BufRead, BufReader};
 use sim_core::{DetRng, SimDuration};
 
 use crate::functions::FunctionKind;
-use crate::registry::{WorkloadKind, WorkloadParams};
 use crate::TenantLoad;
 
 /// Magic prefix of the first line of every trace file; the rest of the
@@ -329,14 +329,6 @@ pub struct AzureMinuteSource<R: BufRead> {
     done: bool,
 }
 
-impl AzureMinuteSource<BufReader<File>> {
-    /// Opens a trace file (must be azure-minute format).
-    pub fn from_path(path: &str, trial: u64) -> Result<Self, TraceError> {
-        let f = File::open(path).map_err(|e| TraceError::at(0, format!("{path}: {e}")))?;
-        Self::new(BufReader::new(f), trial)
-    }
-}
-
 impl<R: BufRead> AzureMinuteSource<R> {
     /// Parses the header and prepares to stream rows.
     pub fn new(reader: R, trial: u64) -> Result<Self, TraceError> {
@@ -491,14 +483,6 @@ pub struct OpenDcSource<R: BufRead> {
     done: bool,
 }
 
-impl OpenDcSource<BufReader<File>> {
-    /// Opens a trace file (must be opendc format).
-    pub fn from_path(path: &str) -> Result<Self, TraceError> {
-        let f = File::open(path).map_err(|e| TraceError::at(0, format!("{path}: {e}")))?;
-        Self::new(BufReader::new(f))
-    }
-}
-
 impl<R: BufRead> OpenDcSource<R> {
     /// Parses the header and prepares to stream rows.
     pub fn new(reader: R) -> Result<Self, TraceError> {
@@ -603,9 +587,10 @@ impl<R: BufRead> TraceSource for OpenDcSource<R> {
 }
 
 /// Wraps materialized per-tenant arrival lists as a [`TraceSource`],
-/// merging them into one `(t_ns, tenant)`-ordered stream — the same
-/// order the simulators' in-memory merge uses, so a workload streamed
-/// through this adapter replays byte-identically to its legacy path.
+/// merging them into one `(t_ns, tenant)`-ordered stream: ties break by
+/// tenant, then FIFO within a tenant. This is the only merge of
+/// per-tenant lists; the fleet engine feeds every generated workload
+/// through it, in the same order the file parsers yield.
 pub struct MaterializedSource {
     kinds: Vec<FunctionKind>,
     arrivals: Vec<Vec<f64>>,
@@ -620,13 +605,6 @@ impl MaterializedSource {
             cursors: vec![0; loads.len()],
             arrivals: loads.into_iter().map(|t| t.arrivals).collect(),
         }
-    }
-
-    /// Generates a named workload and wraps it — the adapter that puts
-    /// azure-trace/zipf-cluster/diurnal (and the rest of the registry)
-    /// behind the streaming interface.
-    pub fn from_workload(kind: WorkloadKind, params: &WorkloadParams, rng: &mut DetRng) -> Self {
-        MaterializedSource::new(kind.generate(params, rng))
     }
 }
 
@@ -1016,25 +994,35 @@ mod tests {
         let loads = vec![
             TenantLoad {
                 kind: FunctionKind::Html,
-                arrivals: vec![1.0, 3.0],
+                arrivals: vec![1.0, 3.0, 3.0],
+            },
+            TenantLoad {
+                kind: FunctionKind::Bfs,
+                arrivals: Vec::new(),
             },
             TenantLoad {
                 kind: FunctionKind::Cnn,
-                arrivals: vec![1.0, 2.0],
+                arrivals: vec![1.0, 2.0, 3.0],
             },
         ];
         let mut src = MaterializedSource::new(loads);
         let got = drain(&mut src);
         let seq: Vec<(u64, usize)> = got.iter().map(|a| (a.t_ns, a.tenant)).collect();
+        assert!(got
+            .iter()
+            .all(|a| a.function
+                == [FunctionKind::Html, FunctionKind::Bfs, FunctionKind::Cnn][a.tenant]));
         assert_eq!(
             seq,
             vec![
                 (1_000_000_000, 0),
-                (1_000_000_000, 1),
-                (2_000_000_000, 1),
-                (3_000_000_000, 0)
+                (1_000_000_000, 2),
+                (2_000_000_000, 2),
+                (3_000_000_000, 0),
+                (3_000_000_000, 0),
+                (3_000_000_000, 2)
             ],
-            "ties break by tenant"
+            "ties break by tenant, then FIFO within a tenant; empty tenants yield nothing"
         );
     }
 

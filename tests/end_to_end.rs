@@ -156,12 +156,13 @@ fn faas_runtime_serves_all_backends() {
                 Deployment {
                     kind: FunctionKind::Bfs,
                     concurrency: 4,
-                    arrivals: arrivals.clone(),
                 },
                 120.0,
             )
         };
-        let result = FaasSim::new(cfg).expect("boot").run();
+        let result = FaasSim::new(cfg, vec![arrivals.clone()])
+            .expect("boot")
+            .run();
         assert_eq!(result.completed, 30, "{backend:?} served everything");
     }
 }
@@ -215,11 +216,12 @@ fn dynamic_resize_cold_start_tax_is_bounded() {
             Deployment {
                 kind: FunctionKind::Cnn,
                 concurrency: 2,
-                arrivals: arrivals.clone(),
             },
             60.0,
         );
-        let result = FaasSim::new(cfg).expect("boot").run();
+        let result = FaasSim::new(cfg, vec![arrivals.clone()])
+            .expect("boot")
+            .run();
         results.push(result.per_func[&FunctionKind::Cnn].latency_points[0].1);
     }
     let (static_ms, squeezy_ms) = (results[0], results[1]);
