@@ -1,6 +1,6 @@
 //! Event-queue throughput: the timer-wheel [`EventQueue`] against the
 //! reference [`BinaryHeapQueue`] it replaced, at three pending-set
-//! sizes spanning the quick (1e3), cluster (1e5) and full perf-scenario
+//! sizes spanning the single-host (1e3), cluster (1e5) and thousand-host
 //! (1e7) regimes.
 //!
 //! Each benchmark holds the queue at a constant depth and measures one
@@ -15,7 +15,7 @@ use sim_core::{BinaryHeapQueue, DetRng, EventQueue, SimDuration, SimTime};
 /// Seed of the deterministic inter-event gap stream.
 const SEED: u64 = 0xE0E0;
 
-/// Gap distribution matched to the perf scenario: mostly sub-millisecond
+/// Gap distribution matched to the drumbeat scenario: mostly sub-millisecond
 /// follow-ups with an occasional keep-alive-scale (tens of seconds)
 /// timer that exercises the wheel's upper levels.
 fn gap(rng: &mut DetRng) -> SimDuration {

@@ -1,13 +1,11 @@
-//! Criterion bench for Figure 11: 1:1 vs N:1 cold starts and footprints.
+//! Criterion bench for Figure 11: the 1:1 and N:1 cold-start models.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use faas::{microvm_cold_start, n_to_one_cold_start};
 use sim_core::CostModel;
-use squeezy_bench::fig11::{render, run};
 use workloads::FunctionKind;
 
 fn bench_models(c: &mut Criterion) {
-    println!("{}", render(&run()));
     let cost = CostModel::default();
     let mut group = c.benchmark_group("fig11_cold_start");
     group.sample_size(10);

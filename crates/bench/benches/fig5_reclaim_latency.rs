@@ -1,15 +1,12 @@
 //! Criterion bench for Figure 5: per-method reclaim of one killed
-//! memhog's memory, plus the paper-style table printed once.
+//! memhog's memory.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mem_types::MIB;
 use sim_core::CostModel;
-use squeezy_bench::fig5::{render, run, Fig5Config};
 use squeezy_bench::setup::{FarmKind, MemhogFarm};
 
 fn bench_reclaim(c: &mut Criterion) {
-    println!("{}", render(&run(&Fig5Config::quick())));
-
     let cost = CostModel::default();
     let mut group = c.benchmark_group("fig5_reclaim_256MiB");
     group.sample_size(10);

@@ -1,7 +1,7 @@
 //! Micro-operation benches for the substrate data structures: buddy
 //! allocation, block offline with migration, partition plug/unplug.
 //! These measure simulator throughput (how fast the reproduction runs),
-//! complementing the figure benches that report simulated time.
+//! complementing the `repro` figures, which report simulated time.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use guest_mm::{AllocPolicy, GuestMm, GuestMmConfig};

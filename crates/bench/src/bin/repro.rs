@@ -6,7 +6,6 @@
 //! ```text
 //! repro [all|table1|fig1|...|fig11|thp|soft|fpr|temporal|hybrid|cluster|fleet]
 //!       [--quick] [--jobs N] [--trials N] [--json <path>]
-//! repro perf [--trace] [--quick] [--json <path>]
 //! repro run <spec.scn>... [--compare] [--quick] [--jobs N] [--trials N] [--json <path>]
 //! repro gen-trace
 //! repro scenarios
@@ -26,9 +25,6 @@
 //! * `repro run --compare a.scn b.scn` — run exactly two single-cell
 //!   specs and append a significance-aware diff table (Welch's t-test
 //!   plus a seeded bootstrap CI per metric; see `faas::scenario`).
-//! * `repro perf --trace` — the streaming-replay benchmark: a frozen
-//!   fleet pulls a multi-day azure-minute trace lazily off disk and the
-//!   run asserts every tracked-sample accumulator stays under its cap.
 //! * `repro gen-trace` — (re)write the committed example traces under
 //!   `examples/traces/` from their pinned generators, byte-identically.
 //! * `repro scenarios` — list the scenario registry (workloads,
@@ -41,6 +37,10 @@
 //! * `--json <path>` — additionally write a machine-readable summary
 //!   (per-section wall time + output digest) for bench-trajectory
 //!   tracking and `--jobs` byte-identity checks.
+//!
+//! Every report here is a deterministic simulation. Host-time
+//! throughput, set-up cost and peak memory of the engine are measured
+//! by the repository benchmark, `perfbench/` (see `BENCHMARK.json`).
 
 use std::time::Instant;
 
@@ -53,7 +53,7 @@ use squeezy_bench as bench;
 
 /// Every target the CLI accepts, in help order. Unknown targets are
 /// rejected at parse time against this list.
-const TARGETS: [&str; 22] = [
+const TARGETS: [&str; 21] = [
     "all",
     "table1",
     "fig1",
@@ -72,7 +72,6 @@ const TARGETS: [&str; 22] = [
     "hybrid",
     "cluster",
     "fleet",
-    "perf",
     "run",
     "gen-trace",
     "scenarios",
@@ -83,9 +82,6 @@ struct Args {
     /// Spec files following the `run` target.
     files: Vec<String>,
     quick: bool,
-    /// `perf --trace`: run the streaming-replay benchmark instead of
-    /// the drumbeat cluster.
-    trace: bool,
     /// `run --compare`: diff exactly two single-cell specs with
     /// significance tests.
     compare: bool,
@@ -97,7 +93,6 @@ fn parse_args() -> Args {
     let mut what: Option<String> = None;
     let mut files: Vec<String> = Vec::new();
     let mut quick = false;
-    let mut trace = false;
     let mut compare = false;
     let mut opts = ExpOpts::auto();
     let mut json = None;
@@ -105,7 +100,6 @@ fn parse_args() -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--trace" => trace = true,
             "--compare" => compare = true,
             "--jobs" => {
                 let v = it.next().unwrap_or_else(|| die("--jobs needs a value"));
@@ -143,9 +137,6 @@ fn parse_args() -> Args {
     if what == "run" && files.is_empty() {
         die("run needs at least one scenario spec file (see `repro scenarios`)");
     }
-    if trace && what != "perf" {
-        die("--trace only applies to the perf target");
-    }
     if compare && what != "run" {
         die("--compare only applies to the run target");
     }
@@ -156,7 +147,6 @@ fn parse_args() -> Args {
         what,
         files,
         quick,
-        trace,
         compare,
         opts,
         json,
@@ -478,52 +468,6 @@ fn main() {
             add(name, true, grid_section(file.to_string(), spec));
         }
     }
-    // The perf target is wall-time-dependent by design (events/sec),
-    // so it is NOT part of `all` — the `all` report stays byte-stable
-    // across machines. The cell is captured for the JSON summary.
-    let perf_cell: std::sync::Arc<std::sync::Mutex<Option<bench::perf::PerfCell>>> =
-        std::sync::Arc::new(std::sync::Mutex::new(None));
-    {
-        let perf_cell = perf_cell.clone();
-        add(
-            "Perf",
-            args.what == "perf" && !args.trace,
-            Box::new(move || {
-                let cfg = if quick {
-                    bench::perf::PerfConfig::quick()
-                } else {
-                    bench::perf::PerfConfig::paper()
-                };
-                let cell = bench::perf::run(&cfg);
-                let text = bench::perf::render(&cell);
-                *perf_cell.lock().expect("perf cell lock") = Some(cell);
-                text
-            }),
-        );
-    }
-    // The streaming-replay variant (`perf --trace`): wall-time numbers
-    // vary by machine like the drumbeat benchmark, and the cell lands
-    // in the JSON summary the same way.
-    let trace_cell: std::sync::Arc<std::sync::Mutex<Option<bench::perf::TracePerfCell>>> =
-        std::sync::Arc::new(std::sync::Mutex::new(None));
-    {
-        let trace_cell = trace_cell.clone();
-        add(
-            "Perf (trace replay)",
-            args.what == "perf" && args.trace,
-            Box::new(move || {
-                let cfg = if quick {
-                    bench::perf::TracePerfConfig::quick()
-                } else {
-                    bench::perf::TracePerfConfig::paper()
-                };
-                let cell = bench::perf::run_trace(&cfg);
-                let text = bench::perf::render_trace(&cell);
-                *trace_cell.lock().expect("trace cell lock") = Some(cell);
-                text
-            }),
-        );
-    }
     add(
         "Ablation: hybrid scaling",
         all || args.what == "hybrid",
@@ -585,15 +529,11 @@ fn main() {
         .flat_map(|g| g.verdicts.iter())
         .collect();
     if let Some(path) = args.json {
-        let perf = perf_cell.lock().expect("perf cell lock");
-        let trace = trace_cell.lock().expect("trace cell lock");
         let json = to_json(
             &sections,
             total_s,
             quick,
             &opts,
-            perf.as_ref(),
-            trace.as_ref(),
             &verdicts,
             compare.as_ref(),
         );
@@ -638,14 +578,11 @@ fn json_f64(v: f64) -> String {
 /// Serializes the run summary (no external crates: the schema is flat
 /// and the only free-form strings — section names, cell labels — are
 /// escaped).
-#[allow(clippy::too_many_arguments)]
 fn to_json(
     sections: &[Section],
     total_s: f64,
     quick: bool,
     opts: &ExpOpts,
-    perf: Option<&bench::perf::PerfCell>,
-    perf_trace: Option<&bench::perf::TracePerfCell>,
     verdicts: &[&ExpectVerdict],
     compare: Option<&CompareReport>,
 ) -> String {
@@ -655,42 +592,6 @@ fn to_json(
     s.push_str(&format!("  \"jobs\": {},\n", opts.effective_jobs()));
     s.push_str(&format!("  \"trials\": {},\n", opts.trials));
     s.push_str(&format!("  \"total_wall_s\": {total_s:.3},\n"));
-    if let Some(p) = perf {
-        s.push_str(&format!(
-            "  \"perf\": {{\"hosts\": {}, \"invocations\": {}, \"completed\": {}, \
-             \"events_processed\": {}, \"peak_queue_depth\": {}, \"setup_wall_s\": {:.3}, \
-             \"run_wall_s\": {:.3}, \"events_per_sec\": {:.0}}},\n",
-            p.hosts,
-            p.invocations,
-            p.completed,
-            p.events,
-            p.peak_depth,
-            p.setup_s,
-            p.run_s,
-            p.events_per_sec
-        ));
-    }
-    if let Some(p) = perf_trace {
-        s.push_str(&format!(
-            "  \"perf_trace\": {{\"hosts\": {}, \"minutes\": {}, \"invocations\": {}, \
-             \"completed\": {}, \"events_processed\": {}, \"peak_queue_depth\": {}, \
-             \"reservoir_len\": {}, \"max_func_samples\": {}, \"peak_rss_mib\": {}, \
-             \"setup_wall_s\": {:.3}, \"run_wall_s\": {:.3}, \"events_per_sec\": {:.0}}},\n",
-            p.hosts,
-            p.minutes,
-            p.invocations,
-            p.completed,
-            p.events,
-            p.peak_depth,
-            p.reservoir_len,
-            p.max_func_samples,
-            p.peak_rss_mib
-                .map_or_else(|| "null".to_string(), |m| format!("{m:.1}")),
-            p.setup_s,
-            p.run_s,
-            p.events_per_sec
-        ));
-    }
     if !verdicts.is_empty() {
         s.push_str("  \"expectations\": [\n");
         for (i, v) in verdicts.iter().enumerate() {

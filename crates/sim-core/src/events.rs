@@ -268,8 +268,8 @@ impl<E> EventQueue<E> {
         self.len == 0
     }
 
-    /// Total events popped over the queue's lifetime (the events/sec
-    /// numerator of `repro perf`).
+    /// Total events popped over the queue's lifetime (the numerator of
+    /// the benchmark's `engine.events_per_s`).
     pub fn processed(&self) -> u64 {
         self.processed
     }

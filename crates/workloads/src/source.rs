@@ -375,6 +375,18 @@ impl<R: BufRead> AzureMinuteSource<R> {
         let minute = parse_u64(m.trim(), line)?;
         let tenant = parse_usize(t.trim(), line)?;
         let count = parse_u64(c.trim(), line)?;
+        // Every arrival lands inside its minute, so the minute's end
+        // must fit the nanosecond clock for `refill` to stay in range.
+        if minute
+            .checked_add(1)
+            .and_then(|end| end.checked_mul(MINUTE_NS))
+            .is_none()
+        {
+            return Err(TraceError::at(
+                line,
+                format!("minute {minute} overflows the nanosecond clock"),
+            ));
+        }
         if tenant >= self.kinds.len() {
             return Err(TraceError::at(
                 line,
@@ -549,13 +561,25 @@ impl<R: BufRead> OpenDcSource<R> {
                 ));
             }
         }
+        let t_ns = ts_ms.checked_mul(1_000_000).ok_or_else(|| {
+            TraceError::at(
+                line,
+                format!("timestamp {ts_ms} ms overflows the nanosecond clock"),
+            )
+        })?;
+        let memory_bytes = memory_mb.checked_mul(mem_types::MIB).ok_or_else(|| {
+            TraceError::at(
+                line,
+                format!("memory_mb {memory_mb} overflows a byte count"),
+            )
+        })?;
         self.last_ts = Some(ts_ms);
         let arrival = Arrival {
-            t_ns: ts_ms * 1_000_000,
+            t_ns,
             function: self.kinds[tenant],
             tenant,
             duration_s: Some(avg_exec_ms / 1e3),
-            memory_bytes: Some(memory_mb * mem_types::MIB),
+            memory_bytes: Some(memory_bytes),
         };
         Ok(Some((arrival, invocations)))
     }
@@ -906,6 +930,18 @@ mod tests {
         let err = drain_err(&malformed);
         assert_eq!(err.line, 6, "{err}");
         assert!(err.msg.contains("malformed row"), "{err}");
+
+        // The last minute whose end fits in u64 nanoseconds parses; any
+        // later one is an error, not an overflow.
+        let last = u64::MAX / MINUTE_NS - 1;
+        let edge = text.replace("1,0,2", &format!("{last},0,60"));
+        let mut src = AzureMinuteSource::new(edge.as_bytes(), 0).expect("header ok");
+        assert_eq!(drain(&mut src).len(), 61);
+        for minute in [last + 1, u64::MAX] {
+            let err = drain_err(&text.replace("1,0,2", &format!("{minute},0,60")));
+            assert_eq!(err.line, 6, "minute {minute}: {err}");
+            assert!(err.msg.contains("overflows"), "minute {minute}: {err}");
+        }
     }
 
     fn drain_err(text: &str) -> TraceError {
@@ -978,15 +1014,22 @@ mod tests {
     }
 
     #[test]
-    fn opendc_rejects_backwards_timestamps_with_line() {
-        let text = "# squeezy-trace v1 opendc\n# tenants = html\n\
-                    timestamp_ms,tenant,invocations,avg_exec_ms,memory_mb\n\
-                    1000,0,1,50.0,64\n500,0,1,50.0,64\n";
-        let mut src = OpenDcSource::new(text.as_bytes()).expect("header ok");
-        src.next_arrival().expect("first row fine");
-        let err = src.next_arrival().unwrap_err();
-        assert_eq!(err.line, 5, "{err}");
-        assert!(err.msg.contains("out-of-order timestamp"), "{err}");
+    fn opendc_errors_carry_line_numbers() {
+        let header = "# squeezy-trace v1 opendc\n# tenants = html\n\
+                      timestamp_ms,tenant,invocations,avg_exec_ms,memory_mb\n\
+                      1000,0,1,50.0,64\n";
+        for (row, msg) in [
+            ("500,0,1,50.0,64", "out-of-order timestamp"),
+            ("18446744073710,0,1,50.0,64", "overflows"),
+            ("1000,0,1,50.0,17592186044416", "overflows"),
+        ] {
+            let text = format!("{header}{row}\n");
+            let mut src = OpenDcSource::new(text.as_bytes()).expect("header ok");
+            src.next_arrival().expect("first row fine");
+            let err = src.next_arrival().unwrap_err();
+            assert_eq!(err.line, 5, "{row}: {err}");
+            assert!(err.msg.contains(msg), "{row}: {err}");
+        }
     }
 
     #[test]
