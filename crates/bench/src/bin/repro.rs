@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! repro [all|table1|fig1|...|fig11|thp|soft|fpr|temporal|hybrid|cluster|fleet]
+//! repro [all|table1|fig1|...|fig11|thp|soft|fpr|temporal|cluster|fleet|hybrid]
 //!       [--quick] [--jobs N] [--trials N] [--json <path>]
 //! repro run <spec.scn>... [--compare] [--quick] [--jobs N] [--trials N] [--json <path>]
 //! repro gen-trace
@@ -44,38 +44,176 @@
 
 use std::time::Instant;
 
-use std::sync::{Arc, Mutex};
-
+use bench::{fig1, fig10, fig2, fig5, fig6, fig7, fig8, fig9, fpr, hybrid, thp};
 use faas::{compare_results, CompareReport, ExpectVerdict, GridOutcome, SweepSpec};
-use sim_core::experiment::{run_experiment, Experiment, TrialCtx};
+use sim_core::experiment::run_grid;
 use sim_core::{fnv1a, ExpOpts};
 use squeezy_bench as bench;
 
-/// Every target the CLI accepts, in help order. Unknown targets are
-/// rejected at parse time against this list.
-const TARGETS: [&str; 21] = [
-    "all",
-    "table1",
-    "fig1",
-    "fig2",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "thp",
-    "soft",
-    "fpr",
-    "temporal",
-    "hybrid",
-    "cluster",
-    "fleet",
-    "run",
-    "gen-trace",
-    "scenarios",
+/// What a report target renders.
+enum Body {
+    /// A figure or ablation module, given `--quick` and the runner
+    /// options.
+    Figure(fn(bool, &ExpOpts) -> String),
+    /// A committed spec grid, `(file name, embedded text)`, run exactly
+    /// as `repro run` would run the file: its `expect.*` gates set the
+    /// exit code.
+    Grid(&'static str, &'static str),
+}
+
+/// `quick()` or `paper()`: the preset a figure runs at.
+fn preset<C>(quick: bool, quick_cfg: fn() -> C, paper_cfg: fn() -> C) -> C {
+    if quick {
+        quick_cfg()
+    } else {
+        paper_cfg()
+    }
+}
+
+/// Every report target as `(target, section title, body)`, in report
+/// order: `all` renders them all, in this order, and the valid-target
+/// list is derived from it.
+const REPORT: [(&str, &str, Body); 17] = [
+    (
+        "table1",
+        "Table 1",
+        Body::Figure(|_, _| bench::table1::render()),
+    ),
+    (
+        "fig1",
+        "Figure 1",
+        Body::Figure(|quick, opts| {
+            let cfg = preset(quick, fig1::Fig1Config::quick, fig1::Fig1Config::paper);
+            fig1::render(&fig1::run_with(&cfg, opts))
+        }),
+    ),
+    (
+        "fig2",
+        "Figure 2",
+        Body::Figure(|quick, opts| {
+            let cfg = preset(quick, fig2::Fig2Config::quick, fig2::Fig2Config::paper);
+            fig2::render(&fig2::run_with(&cfg, opts))
+        }),
+    ),
+    (
+        "fig5",
+        "Figure 5",
+        Body::Figure(|quick, opts| {
+            let cfg = preset(quick, fig5::Fig5Config::quick, fig5::Fig5Config::paper);
+            fig5::render(&fig5::run_with(&cfg, opts))
+        }),
+    ),
+    (
+        "fig6",
+        "Figure 6",
+        Body::Figure(|quick, opts| {
+            let cfg = preset(quick, fig6::Fig6Config::quick, fig6::Fig6Config::paper);
+            fig6::render(&fig6::run_with(&cfg, opts))
+        }),
+    ),
+    (
+        "fig7",
+        "Figure 7",
+        Body::Figure(|quick, opts| {
+            let cfg = preset(quick, fig7::Fig7Config::quick, fig7::Fig7Config::paper);
+            fig7::render(&fig7::run_with(&cfg, opts))
+        }),
+    ),
+    (
+        "fig8",
+        "Figure 8",
+        Body::Figure(|quick, opts| {
+            let cfg = preset(quick, fig8::Fig8Config::quick, fig8::Fig8Config::paper);
+            fig8::render(&fig8::run_with(&cfg, opts))
+        }),
+    ),
+    (
+        "fig9",
+        "Figure 9",
+        Body::Figure(|quick, opts| {
+            let cfg = preset(quick, fig9::Fig9Config::quick, fig9::Fig9Config::paper);
+            fig9::render(&fig9::run_with(&cfg, opts), &cfg)
+        }),
+    ),
+    (
+        "fig10",
+        "Figure 10",
+        Body::Figure(|quick, opts| {
+            let cfg = preset(quick, fig10::Fig10Config::quick, fig10::Fig10Config::paper);
+            fig10::render(&fig10::run_with(&cfg, opts))
+        }),
+    ),
+    (
+        "fig11",
+        "Figure 11",
+        Body::Figure(|_, opts| bench::fig11::render(&bench::fig11::run_with(opts))),
+    ),
+    (
+        "thp",
+        "Ablation: THP",
+        Body::Figure(|quick, opts| {
+            let cfg = preset(quick, thp::ThpConfig::quick, thp::ThpConfig::paper);
+            thp::render(&thp::run_with(&cfg, opts))
+        }),
+    ),
+    (
+        "soft",
+        "Ablation: soft memory",
+        Body::Figure(|_, opts| bench::soft::render(&bench::soft::run_with(opts))),
+    ),
+    (
+        "fpr",
+        "Ablation: free page reporting",
+        Body::Figure(|quick, opts| {
+            let cfg = preset(quick, fpr::FprConfig::quick, fpr::FprConfig::paper);
+            fpr::render(&fpr::run_with(&cfg, opts))
+        }),
+    ),
+    (
+        "temporal",
+        "Ablation: temporal segregation",
+        Body::Figure(|_, opts| bench::temporal::render(&bench::temporal::run_with(opts))),
+    ),
+    (
+        "cluster",
+        "Cluster",
+        Body::Grid(
+            "cluster_grid.scn",
+            include_str!("../../../../examples/scenarios/cluster_grid.scn"),
+        ),
+    ),
+    (
+        "fleet",
+        "Fleet",
+        Body::Grid(
+            "fleet_grid.scn",
+            include_str!("../../../../examples/scenarios/fleet_grid.scn"),
+        ),
+    ),
+    (
+        "hybrid",
+        "Ablation: hybrid scaling",
+        Body::Figure(|quick, opts| {
+            let cfg = preset(
+                quick,
+                hybrid::HybridConfig::quick,
+                hybrid::HybridConfig::paper,
+            );
+            hybrid::render(&cfg, &hybrid::run_with(&cfg, opts))
+        }),
+    ),
 ];
+
+/// Every target the CLI accepts, in help order: `all`, the report
+/// targets, then the commands. Unknown targets are rejected at parse
+/// time against this list.
+fn targets() -> Vec<&'static str> {
+    let report = REPORT.iter().map(|&(target, _, _)| target);
+    std::iter::once("all")
+        .chain(report)
+        .chain(["run", "gen-trace", "scenarios"])
+        .collect()
+}
 
 struct Args {
     what: String,
@@ -123,12 +261,12 @@ fn parse_args() -> Args {
                 Some(first) => die(&format!(
                     "multiple targets ({first:?} and {positional:?}); pass one"
                 )),
-                None if TARGETS.contains(&positional) => what = Some(positional.to_string()),
+                None if targets().contains(&positional) => what = Some(positional.to_string()),
                 // A typo'd target dies here, at parse time, with the
                 // full valid list — not after the run completes.
                 None => die(&format!(
                     "unknown target {positional:?} (valid targets: {})",
-                    TARGETS.join(", ")
+                    targets().join(", ")
                 )),
             },
         }
@@ -167,49 +305,16 @@ struct Section {
     bytes: usize,
     digest: u64,
     text: String,
+    /// Per-cell results and gate verdicts of a grid section.
+    grid: Option<GridOutcome>,
 }
 
-/// A renderable section of the report.
-type Renderer = Box<dyn Fn() -> String + Sync>;
-
-/// The report itself is an experiment: each section is a sweep point,
-/// so `--jobs` pipelines whole figures against each other (a section
-/// with a serial phase, like Figure 10's abundant baseline, no longer
-/// blocks the machine) while the ordered reduction prints them in
-/// canonical order.
-struct Report {
-    sections: Vec<(String, Renderer)>,
+/// A section waiting to render.
+enum Job {
+    Figure(fn(bool, &ExpOpts) -> String),
+    /// A validated spec and the label its errors name.
+    Grid(String, Box<SweepSpec>),
 }
-
-impl Experiment for Report {
-    type Point = usize;
-    type Output = Section;
-
-    fn points(&self) -> Vec<usize> {
-        (0..self.sections.len()).collect()
-    }
-
-    fn run_trial(&self, &i: &usize, _ctx: &mut TrialCtx) -> Section {
-        let (name, render) = &self.sections[i];
-        let t = Instant::now();
-        let text = render();
-        // Progress goes to stderr in completion order; stdout stays
-        // buffered and byte-identical in canonical order.
-        eprintln!("[repro] {name} done in {:.1}s", t.elapsed().as_secs_f64());
-        Section {
-            name: name.clone(),
-            wall_s: t.elapsed().as_secs_f64(),
-            digest: fnv1a(&text),
-            bytes: text.len(),
-            text,
-        }
-    }
-}
-
-/// The committed grids behind the `cluster` and `fleet` targets,
-/// embedded so the aliases run exactly the files `repro run` would.
-const CLUSTER_GRID: &str = include_str!("../../../../examples/scenarios/cluster_grid.scn");
-const FLEET_GRID: &str = include_str!("../../../../examples/scenarios/fleet_grid.scn");
 
 /// Parses, optionally quick-scales, and validates one spec. Specs may
 /// be plain scenarios or sweep grids — `SweepSpec::parse` is a strict
@@ -268,18 +373,8 @@ fn main() {
         gen_traces();
         return;
     }
-    let all = args.what == "all";
     let quick = args.quick;
     let opts = args.opts;
-
-    let mut report = Report {
-        sections: Vec::new(),
-    };
-    let mut add = |name: &str, enabled: bool, render: Renderer| {
-        if enabled {
-            report.sections.push((name.to_string(), render));
-        }
-    };
 
     let specs = load_specs(&args.files, quick);
     if args.compare {
@@ -293,222 +388,72 @@ fn main() {
             }
         }
     }
-    // Grid outcomes (per-cell results, gate verdicts) are captured out
-    // of the render closures for the compare block, the JSON summary
-    // and the gate exit code; spec files take the first slots, in
-    // order.
-    let grids: Arc<Mutex<Vec<Option<GridOutcome>>>> = Arc::new(Mutex::new(Vec::new()));
-    let grid_section = |label: String, spec: SweepSpec| -> Renderer {
-        let grids = grids.clone();
-        let slot = {
-            let mut g = grids.lock().expect("grid lock");
-            g.push(None);
-            g.len() - 1
-        };
-        Box::new(move || {
-            let outcome = spec
-                .run(&opts)
-                .unwrap_or_else(|e| die(&format!("{label}: {e}")));
-            let text = outcome.render();
-            grids.lock().expect("grid lock")[slot] = Some(outcome);
-            text
-        })
-    };
-    for (path, spec) in specs {
-        add(&path.clone(), true, grid_section(path, spec));
-    }
-
-    add(
-        "Table 1",
-        all || args.what == "table1",
-        Box::new(bench::table1::render),
-    );
-    add(
-        "Figure 1",
-        all || args.what == "fig1",
-        Box::new(move || {
-            let cfg = if quick {
-                bench::fig1::Fig1Config::quick()
-            } else {
-                bench::fig1::Fig1Config::paper()
+    // Spec files take the first sections, in order; then the report
+    // targets selected by `what`.
+    let mut jobs: Vec<(String, Job)> = specs
+        .into_iter()
+        .map(|(path, spec)| (path.clone(), Job::Grid(path, Box::new(spec))))
+        .collect();
+    for (target, title, body) in &REPORT {
+        if args.what == "all" || args.what == *target {
+            let job = match *body {
+                Body::Figure(render) => Job::Figure(render),
+                Body::Grid(file, text) => {
+                    Job::Grid(file.to_string(), Box::new(load_spec(file, text, quick)))
+                }
             };
-            bench::fig1::render(&bench::fig1::run_with(&cfg, &opts))
-        }),
-    );
-    add(
-        "Figure 2",
-        all || args.what == "fig2",
-        Box::new(move || {
-            let cfg = if quick {
-                bench::fig2::Fig2Config::quick()
-            } else {
-                bench::fig2::Fig2Config::paper()
-            };
-            bench::fig2::render(&bench::fig2::run_with(&cfg, &opts))
-        }),
-    );
-    add(
-        "Figure 5",
-        all || args.what == "fig5",
-        Box::new(move || {
-            let cfg = if quick {
-                bench::fig5::Fig5Config::quick()
-            } else {
-                bench::fig5::Fig5Config::paper()
-            };
-            bench::fig5::render(&bench::fig5::run_with(&cfg, &opts))
-        }),
-    );
-    add(
-        "Figure 6",
-        all || args.what == "fig6",
-        Box::new(move || {
-            let cfg = if quick {
-                bench::fig6::Fig6Config::quick()
-            } else {
-                bench::fig6::Fig6Config::paper()
-            };
-            bench::fig6::render(&bench::fig6::run_with(&cfg, &opts))
-        }),
-    );
-    add(
-        "Figure 7",
-        all || args.what == "fig7",
-        Box::new(move || {
-            let cfg = if quick {
-                bench::fig7::Fig7Config::quick()
-            } else {
-                bench::fig7::Fig7Config::paper()
-            };
-            bench::fig7::render(&bench::fig7::run_with(&cfg, &opts))
-        }),
-    );
-    add(
-        "Figure 8",
-        all || args.what == "fig8",
-        Box::new(move || {
-            let cfg = if quick {
-                bench::fig8::Fig8Config::quick()
-            } else {
-                bench::fig8::Fig8Config::paper()
-            };
-            bench::fig8::render(&bench::fig8::run_with(&cfg, &opts))
-        }),
-    );
-    add(
-        "Figure 9",
-        all || args.what == "fig9",
-        Box::new(move || {
-            let cfg = if quick {
-                bench::fig9::Fig9Config::quick()
-            } else {
-                bench::fig9::Fig9Config::paper()
-            };
-            bench::fig9::render(&bench::fig9::run_with(&cfg, &opts), &cfg)
-        }),
-    );
-    add(
-        "Figure 10",
-        all || args.what == "fig10",
-        Box::new(move || {
-            let cfg = if quick {
-                bench::fig10::Fig10Config::quick()
-            } else {
-                bench::fig10::Fig10Config::paper()
-            };
-            bench::fig10::render(&bench::fig10::run_with(&cfg, &opts))
-        }),
-    );
-    add(
-        "Figure 11",
-        all || args.what == "fig11",
-        Box::new(move || bench::fig11::render(&bench::fig11::run_with(&opts))),
-    );
-    add(
-        "Ablation: THP",
-        all || args.what == "thp",
-        Box::new(move || {
-            let cfg = if quick {
-                bench::thp::ThpConfig::quick()
-            } else {
-                bench::thp::ThpConfig::paper()
-            };
-            bench::thp::render(&bench::thp::run_with(&cfg, &opts))
-        }),
-    );
-    add(
-        "Ablation: soft memory",
-        all || args.what == "soft",
-        Box::new(move || bench::soft::render(&bench::soft::run_with(&opts))),
-    );
-    add(
-        "Ablation: free page reporting",
-        all || args.what == "fpr",
-        Box::new(move || {
-            let cfg = if quick {
-                bench::fpr::FprConfig::quick()
-            } else {
-                bench::fpr::FprConfig::paper()
-            };
-            bench::fpr::render(&bench::fpr::run_with(&cfg, &opts))
-        }),
-    );
-    add(
-        "Ablation: temporal segregation",
-        all || args.what == "temporal",
-        Box::new(move || bench::temporal::render(&bench::temporal::run_with(&opts))),
-    );
-    // `cluster` and `fleet` are aliases for their committed grids.
-    for (name, target, file, text) in [
-        ("Cluster", "cluster", "cluster_grid.scn", CLUSTER_GRID),
-        ("Fleet", "fleet", "fleet_grid.scn", FLEET_GRID),
-    ] {
-        if all || args.what == target {
-            let spec = load_spec(file, text, quick);
-            add(name, true, grid_section(file.to_string(), spec));
+            jobs.push((title.to_string(), job));
         }
-    }
-    add(
-        "Ablation: hybrid scaling",
-        all || args.what == "hybrid",
-        Box::new(move || {
-            let cfg = if quick {
-                bench::hybrid::HybridConfig::quick()
-            } else {
-                bench::hybrid::HybridConfig::paper()
-            };
-            bench::hybrid::render(&cfg, &bench::hybrid::run_with(&cfg, &opts))
-        }),
-    );
-
-    // Parse-time target validation means every valid invocation has
-    // sections; this is a belt-and-braces guard for new targets wired
-    // into TARGETS but not into the section list.
-    if report.sections.is_empty() {
-        die(&format!("target {:?} produced no sections", args.what));
     }
 
     let t0 = Instant::now();
-    // The outer section level is capped at 4 workers: only one section
+    // The report itself is a grid: each section is a point, so `--jobs`
+    // pipelines whole figures against each other (a section with a
+    // serial phase, like Figure 10's abundant baseline, does not block
+    // the machine) while the ordered reduction prints them in canonical
+    // order. Each section is one deterministic artifact, so one trial.
+    // The section level is capped at 4 workers: only one section
     // (Figure 10) is long enough to need overlap, and an uncapped outer
     // level would multiply with each section's inner workers into
     // jobs^2 busy threads on big machines.
-    let sections: Vec<Section> = run_experiment(&report, opts.effective_jobs().min(4))
-        .into_iter()
-        .map(|mut trials| trials.remove(0))
-        .collect();
+    let outer = opts.with_jobs(opts.effective_jobs().min(4)).with_trials(1);
+    let sections: Vec<Section> = run_grid(&jobs, 0, &outer, |(name, job), _| {
+        let t = Instant::now();
+        let (text, grid) = match job {
+            Job::Figure(render) => (render(quick, &opts), None),
+            Job::Grid(label, spec) => {
+                let outcome = spec
+                    .run(&opts)
+                    .unwrap_or_else(|e| die(&format!("{label}: {e}")));
+                (outcome.render(), Some(outcome))
+            }
+        };
+        // Progress goes to stderr in completion order; stdout stays
+        // buffered and byte-identical in canonical order.
+        eprintln!("[repro] {name} done in {:.1}s", t.elapsed().as_secs_f64());
+        Section {
+            name: name.clone(),
+            wall_s: t.elapsed().as_secs_f64(),
+            digest: fnv1a(&text),
+            bytes: text.len(),
+            text,
+            grid,
+        }
+    })
+    .into_iter()
+    .map(|mut trials| trials.remove(0))
+    .collect();
     for sec in &sections {
         println!("{}", "=".repeat(72));
         println!("== {}", sec.name);
         println!("{}", "=".repeat(72));
         println!("{}", sec.text);
     }
-    let grids: Vec<Option<GridOutcome>> = std::mem::take(&mut *grids.lock().expect("grid lock"));
+    let grids: Vec<&GridOutcome> = sections.iter().filter_map(|s| s.grid.as_ref()).collect();
     let compare = args.compare.then(|| {
-        // Validated at parse time: exactly two single-cell specs, and
-        // every run section stores its outcome before rendering.
-        let a = grids[0].as_ref().expect("run section stored outcome");
-        let b = grids[1].as_ref().expect("run section stored outcome");
+        // Validated at parse time: exactly two single-cell specs, which
+        // are the first two sections.
+        let (a, b) = (grids[0], grids[1]);
         let report = compare_results(&args.files[0], &a.cells[0].1, &args.files[1], &b.cells[0].1);
         println!("{}", "=".repeat(72));
         println!("== Compare");
@@ -523,11 +468,7 @@ fn main() {
         opts.trials
     );
 
-    let verdicts: Vec<&ExpectVerdict> = grids
-        .iter()
-        .flatten()
-        .flat_map(|g| g.verdicts.iter())
-        .collect();
+    let verdicts: Vec<&ExpectVerdict> = grids.iter().flat_map(|g| g.verdicts.iter()).collect();
     if let Some(path) = args.json {
         let json = to_json(
             &sections,

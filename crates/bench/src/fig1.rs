@@ -3,7 +3,7 @@
 //! host keeps the peak allocated because nothing reclaims it.
 
 use faas::{BackendKind, Deployment, FaasSim, SimConfig, SimResult, VmSpec};
-use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
+use sim_core::experiment::{run_grid, ExpOpts, TrialCtx};
 use sim_core::{SimDuration, TextTable};
 use workloads::{bursty_arrivals, BurstyTraceConfig, FunctionKind};
 
@@ -46,29 +46,6 @@ impl Fig1Config {
     }
 }
 
-/// The motivation experiment as a one-point sweep on the engine: the
-/// output is a single timeline, so it clamps to one trial.
-struct Fig1Exp<'a> {
-    cfg: &'a Fig1Config,
-}
-
-impl Experiment for Fig1Exp<'_> {
-    type Point = ();
-    type Output = SimResult;
-
-    fn points(&self) -> Vec<()> {
-        vec![()]
-    }
-
-    fn seed(&self) -> u64 {
-        self.cfg.seed
-    }
-
-    fn run_trial(&self, _point: &(), ctx: &mut TrialCtx) -> SimResult {
-        run_trial(self.cfg, ctx)
-    }
-}
-
 /// Runs the motivation experiment on the static (vanilla N:1) backend.
 pub fn run(cfg: &Fig1Config) -> SimResult {
     run_with(cfg, &ExpOpts::default())
@@ -76,9 +53,13 @@ pub fn run(cfg: &Fig1Config) -> SimResult {
 
 /// [`run`] with explicit engine options.
 pub fn run_with(cfg: &Fig1Config, opts: &ExpOpts) -> SimResult {
-    run_experiment(&Fig1Exp { cfg }, opts.effective_jobs())
-        .remove(0)
-        .remove(0)
+    // A one-point grid: the output is a single timeline, so it runs
+    // one trial whatever `opts.trials` says.
+    run_grid(&[()], cfg.seed, &opts.with_trials(1), |_, ctx| {
+        run_trial(cfg, ctx)
+    })
+    .remove(0)
+    .remove(0)
 }
 
 fn run_trial(cfg: &Fig1Config, ctx: &mut TrialCtx) -> SimResult {

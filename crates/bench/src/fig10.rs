@@ -1,6 +1,7 @@
 //! Figure 10: end-to-end execution when host memory is restricted (the
-//! paper uses ~70 % of the abundant-memory peak; we report the ~62 %
-//! point where the paper's ordering is clearest — see EXPERIMENTS.md).
+//! paper uses ~70 % of the abundant-memory peak; [`Fig10Config::paper`]
+//! sets `capacity_fraction` to 0.62, the point where the paper's
+//! ordering is clearest).
 //! Scale-ups must wait for reclamation of evicted instances; slow
 //! reclaim (vanilla virtio-mem) inflates tail latency, HarvestVM-opts
 //! trades memory for speed, Squeezy keeps both bounded, and the §7
@@ -10,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use faas::{BackendKind, Deployment, FaasSim, HarvestConfig, SimConfig, SimResult, VmSpec};
-use sim_core::experiment::{mean_over, run_experiment, ExpOpts, Experiment, TrialCtx};
+use sim_core::experiment::{mean_over, run_grid, ExpOpts};
 use sim_core::metrics::geomean;
 use sim_core::{DetRng, TextTable};
 use workloads::{bursty_arrivals, BurstyTraceConfig, FunctionKind};
@@ -208,86 +209,6 @@ fn run_one(
     }
 }
 
-/// Phase 1 on the engine: the abundant-memory baseline, one point,
-/// `trials` repetitions over independently derived traces.
-struct AbundantExp<'a> {
-    cfg: &'a Fig10Config,
-    traces: &'a [Trace],
-}
-
-impl Experiment for AbundantExp<'_> {
-    type Point = ();
-    type Output = Fig10Run;
-
-    fn points(&self) -> Vec<()> {
-        vec![()]
-    }
-
-    fn trials(&self) -> u32 {
-        self.traces.len() as u32
-    }
-
-    fn seed(&self) -> u64 {
-        self.cfg.seed
-    }
-
-    fn run_trial(&self, _point: &(), ctx: &mut TrialCtx) -> Fig10Run {
-        run_one(
-            "Abundant Memory",
-            BackendKind::Squeezy,
-            u64::MAX / 2,
-            self.cfg,
-            &self.traces[ctx.trial as usize],
-            ctx.trial,
-        )
-    }
-}
-
-/// Phase 2 on the engine: the four restricted backends, each trial
-/// capped at that trial's abundant peak × `capacity_fraction` and fed
-/// that trial's traces, so every backend faces identical conditions.
-struct RestrictedExp<'a> {
-    cfg: &'a Fig10Config,
-    traces: &'a [Trace],
-    capacities: Vec<u64>,
-}
-
-impl Experiment for RestrictedExp<'_> {
-    type Point = (&'static str, BackendKind);
-    type Output = Fig10Run;
-
-    fn points(&self) -> Vec<(&'static str, BackendKind)> {
-        vec![
-            ("Virtio-mem", BackendKind::VirtioMem),
-            ("HarvestVM-opts", BackendKind::HarvestOpts),
-            ("Squeezy", BackendKind::Squeezy),
-            // Extension run (§7 soft memory): idle instances donate
-            // their partitions under pressure instead of being evicted.
-            ("Squeezy+soft", BackendKind::SqueezySoft),
-        ]
-    }
-
-    fn trials(&self) -> u32 {
-        self.traces.len() as u32
-    }
-
-    fn seed(&self) -> u64 {
-        self.cfg.seed
-    }
-
-    fn run_trial(&self, &(label, backend): &Self::Point, ctx: &mut TrialCtx) -> Fig10Run {
-        let t = ctx.trial as usize;
-        run_one(
-            label,
-            backend,
-            self.capacities[t],
-            self.cfg,
-            &self.traces[t],
-            ctx.trial,
-        )
-    }
-}
-
 /// Collapses per-trial runs of one backend: scalar metrics (P99s,
 /// GiB·s) become trial means; the timeline and reclaim log keep trial
 /// 0's deterministic artifact.
@@ -320,11 +241,23 @@ pub fn run_with(cfg: &Fig10Config, opts: &ExpOpts) -> Fig10Output {
         .map(|t| traces(cfg, &root.derive(t)))
         .collect();
 
-    // Baseline: Squeezy resizing with abundant host memory. Its peak
-    // usage calibrates each trial's restricted capacity.
-    let abundant_trials = run_experiment(&AbundantExp { cfg, traces: &tr }, opts.effective_jobs())
-        .pop()
-        .expect("one point");
+    // Phase 1, the baseline: Squeezy resizing with abundant host
+    // memory, one point, one trial per derived trace. Its peak usage
+    // calibrates each trial's restricted capacity.
+    let opts = &opts.with_trials(tr.len() as u32);
+    let abundant_trials = run_grid(&[()], cfg.seed, opts, |_, ctx| {
+        let (t, backend) = (ctx.trial as usize, BackendKind::Squeezy);
+        run_one(
+            "Abundant Memory",
+            backend,
+            u64::MAX / 2,
+            cfg,
+            &tr[t],
+            ctx.trial,
+        )
+    })
+    .pop()
+    .expect("one point");
     let capacities: Vec<u64> = abundant_trials
         .iter()
         .map(|r| (r.result.host_usage.max_value() * cfg.capacity_fraction) as u64)
@@ -332,14 +265,21 @@ pub fn run_with(cfg: &Fig10Config, opts: &ExpOpts) -> Fig10Output {
     let abundant = aggregate(abundant_trials);
     let peak = abundant.result.host_usage.max_value();
 
-    let restricted = run_experiment(
-        &RestrictedExp {
-            cfg,
-            traces: &tr,
-            capacities,
-        },
-        opts.effective_jobs(),
-    );
+    // Phase 2: the four restricted backends, each trial capped at that
+    // trial's abundant peak × `capacity_fraction` and fed that trial's
+    // traces, so every backend faces identical conditions.
+    let backends = [
+        ("Virtio-mem", BackendKind::VirtioMem),
+        ("HarvestVM-opts", BackendKind::HarvestOpts),
+        ("Squeezy", BackendKind::Squeezy),
+        // Extension run (§7 soft memory): idle instances donate their
+        // partitions under pressure instead of being evicted.
+        ("Squeezy+soft", BackendKind::SqueezySoft),
+    ];
+    let restricted = run_grid(&backends, cfg.seed, opts, |&(label, backend), ctx| {
+        let t = ctx.trial as usize;
+        run_one(label, backend, capacities[t], cfg, &tr[t], ctx.trial)
+    });
     let mut runs = vec![abundant];
     runs.extend(restricted.into_iter().map(aggregate));
     Fig10Output {

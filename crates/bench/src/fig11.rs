@@ -2,8 +2,8 @@
 //! breakdown (a) and per-instance host memory footprint (b).
 
 use faas::{microvm_cold_start, n_to_one_cold_start, ColdStartBreakdown};
-use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
-use sim_core::metrics::mean;
+use sim_core::experiment::{run_grid, ExpOpts};
+use sim_core::stats::mean;
 use sim_core::{CostModel, TextTable};
 use workloads::FunctionKind;
 
@@ -21,19 +21,16 @@ pub struct Fig11Row {
     pub n_footprint: u64,
 }
 
-/// The per-function sweep on the engine; the cold-start model is
-/// deterministic, so it clamps to one trial.
-struct Fig11Exp;
+/// Runs both cold-start paths for every Table-1 function.
+pub fn run() -> Vec<Fig11Row> {
+    run_with(&ExpOpts::default())
+}
 
-impl Experiment for Fig11Exp {
-    type Point = FunctionKind;
-    type Output = Fig11Row;
-
-    fn points(&self) -> Vec<FunctionKind> {
-        FunctionKind::ALL.to_vec()
-    }
-
-    fn run_trial(&self, &kind: &FunctionKind, _ctx: &mut TrialCtx) -> Fig11Row {
+/// [`run`] with explicit engine options.
+pub fn run_with(opts: &ExpOpts) -> Vec<Fig11Row> {
+    // The per-function grid; the cold-start model is deterministic, so
+    // it runs one trial whatever `opts.trials` says.
+    run_grid(&FunctionKind::ALL, 0, &opts.with_trials(1), |&kind, _| {
         let cost = CostModel::default();
         let (one, one_fp) = microvm_cold_start(kind, &cost).expect("1:1 runs");
         let (n, n_fp) = n_to_one_cold_start(kind, &cost).expect("N:1 runs");
@@ -44,20 +41,10 @@ impl Experiment for Fig11Exp {
             one_footprint: one_fp,
             n_footprint: n_fp,
         }
-    }
-}
-
-/// Runs both cold-start paths for every Table-1 function.
-pub fn run() -> Vec<Fig11Row> {
-    run_with(&ExpOpts::default())
-}
-
-/// [`run`] with explicit engine options.
-pub fn run_with(opts: &ExpOpts) -> Vec<Fig11Row> {
-    run_experiment(&Fig11Exp, opts.effective_jobs())
-        .into_iter()
-        .map(|mut trials| trials.remove(0))
-        .collect()
+    })
+    .into_iter()
+    .map(|mut trials| trials.remove(0))
+    .collect()
 }
 
 /// Renders both subfigures.

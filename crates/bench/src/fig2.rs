@@ -2,7 +2,7 @@
 //! hour — thousands of creations and evictions per minute motivate agile
 //! N:1 resizing.
 
-use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
+use sim_core::experiment::{run_grid, ExpOpts};
 use sim_core::TextTable;
 use workloads::{analyze_churn, zipf_function_traces, ChurnResult};
 
@@ -49,26 +49,16 @@ impl Fig2Config {
     }
 }
 
-/// The churn analysis as a one-point sweep on the engine: the output is
-/// a single per-minute timeline, so it clamps to one trial.
-struct Fig2Exp<'a> {
-    cfg: &'a Fig2Config,
+/// Runs the churn analysis over synthesized Azure-like traces.
+pub fn run(cfg: &Fig2Config) -> ChurnResult {
+    run_with(cfg, &ExpOpts::default())
 }
 
-impl Experiment for Fig2Exp<'_> {
-    type Point = ();
-    type Output = ChurnResult;
-
-    fn points(&self) -> Vec<()> {
-        vec![()]
-    }
-
-    fn seed(&self) -> u64 {
-        self.cfg.seed
-    }
-
-    fn run_trial(&self, _point: &(), ctx: &mut TrialCtx) -> ChurnResult {
-        let cfg = self.cfg;
+/// [`run`] with explicit engine options.
+pub fn run_with(cfg: &Fig2Config, opts: &ExpOpts) -> ChurnResult {
+    // A one-point grid: the output is a single per-minute timeline, so
+    // it runs one trial whatever `opts.trials` says.
+    run_grid(&[()], cfg.seed, &opts.with_trials(1), |_, ctx| {
         let traces = zipf_function_traces(
             cfg.functions,
             cfg.duration_s,
@@ -78,19 +68,9 @@ impl Experiment for Fig2Exp<'_> {
         );
         let exec = vec![cfg.exec_s; cfg.functions];
         analyze_churn(&traces, &exec, cfg.keepalive_s, cfg.duration_s)
-    }
-}
-
-/// Runs the churn analysis over synthesized Azure-like traces.
-pub fn run(cfg: &Fig2Config) -> ChurnResult {
-    run_with(cfg, &ExpOpts::default())
-}
-
-/// [`run`] with explicit engine options.
-pub fn run_with(cfg: &Fig2Config, opts: &ExpOpts) -> ChurnResult {
-    run_experiment(&Fig2Exp { cfg }, opts.effective_jobs())
-        .remove(0)
-        .remove(0)
+    })
+    .remove(0)
+    .remove(0)
 }
 
 /// Renders per-minute creations/evictions.

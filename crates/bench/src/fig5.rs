@@ -3,7 +3,7 @@
 //! rest, for Balloon, vanilla virtio-mem and Squeezy.
 
 use mem_types::MIB;
-use sim_core::experiment::{run_reduced, ExpOpts, Experiment, TrialCtx};
+use sim_core::experiment::{run_grid, ExpOpts};
 use sim_core::{CostModel, DetRng, LatencyBreakdown, TextTable};
 
 use crate::setup::{FarmKind, MemhogFarm};
@@ -53,51 +53,6 @@ pub struct Fig5Row {
     pub breakdown: LatencyBreakdown,
 }
 
-/// The `sizes × methods` sweep on the engine; trials re-churn the farm
-/// from independent streams and the breakdowns are averaged. The farm
-/// stream is derived from `(size, trial)` only — NOT the method — so
-/// the three methods of one size are always measured on an identically
-/// churned farm (the paired comparison the figure reports).
-struct Fig5Exp<'a> {
-    cfg: &'a Fig5Config,
-    trials: u32,
-}
-
-impl Experiment for Fig5Exp<'_> {
-    type Point = (u64, &'static str);
-    type Output = LatencyBreakdown;
-
-    fn points(&self) -> Vec<(u64, &'static str)> {
-        self.cfg
-            .sizes_mib
-            .iter()
-            .flat_map(|&size| METHODS.iter().map(move |&m| (size, m)))
-            .collect()
-    }
-
-    fn trials(&self) -> u32 {
-        self.trials
-    }
-
-    fn seed(&self) -> u64 {
-        crate::setup::CHURN_SEED
-    }
-
-    fn run_trial(&self, &(size_mib, method): &Self::Point, ctx: &mut TrialCtx) -> LatencyBreakdown {
-        // Points are laid out sizes-major, so the size index is the
-        // point index with the method dimension divided out.
-        let size_idx = (ctx.point / METHODS.len()) as u64;
-        let mut rng = DetRng::new(self.seed()).derive(size_idx).derive(ctx.trial);
-        run_method(
-            method,
-            size_mib * MIB,
-            self.cfg,
-            &CostModel::default(),
-            &mut rng,
-        )
-    }
-}
-
 /// Runs the experiment: for each size and method, fill a VM with
 /// memhogs, kill them iteratively, reclaim the killed instance's size at
 /// every step, and average the latency across steps (and trials).
@@ -107,25 +62,38 @@ pub fn run(cfg: &Fig5Config) -> Vec<Fig5Row> {
 
 /// [`run`] with explicit engine options.
 pub fn run_with(cfg: &Fig5Config, opts: &ExpOpts) -> Vec<Fig5Row> {
-    let exp = Fig5Exp {
-        cfg,
-        trials: opts.trials,
-    };
-    let points = exp.points();
-    let means = run_reduced(&exp, opts.effective_jobs(), |trials| {
-        let mut acc = LatencyBreakdown::default();
-        for b in &trials {
-            acc.accumulate(b);
-        }
-        acc.scale_down(trials.len() as u64)
+    let points: Vec<(u64, &'static str)> = cfg
+        .sizes_mib
+        .iter()
+        .flat_map(|&size| METHODS.iter().map(move |&m| (size, m)))
+        .collect();
+    // The `sizes × methods` grid; trials re-churn the farm from
+    // independent streams and the breakdowns are averaged. The farm
+    // stream is derived from `(size, trial)` only — NOT the method — so
+    // the three methods of one size are always measured on an
+    // identically churned farm (the paired comparison the figure
+    // reports).
+    let seed = crate::setup::CHURN_SEED;
+    let cells = run_grid(&points, seed, opts, |&(size_mib, method), ctx| {
+        // Points are laid out sizes-major, so the size index is the
+        // point index with the method dimension divided out.
+        let size_idx = (ctx.point / METHODS.len()) as u64;
+        let mut rng = DetRng::new(seed).derive(size_idx).derive(ctx.trial);
+        run_method(method, size_mib * MIB, cfg, &CostModel::default(), &mut rng)
     });
     points
         .into_iter()
-        .zip(means)
-        .map(|((size_mib, method), breakdown)| Fig5Row {
-            size_mib,
-            method,
-            breakdown,
+        .zip(cells)
+        .map(|((size_mib, method), trials)| {
+            let mut acc = LatencyBreakdown::default();
+            for b in &trials {
+                acc.accumulate(b);
+            }
+            Fig5Row {
+                size_mib,
+                method,
+                breakdown: acc.scale_down(trials.len() as u64),
+            }
         })
         .collect()
 }

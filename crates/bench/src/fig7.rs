@@ -4,8 +4,8 @@
 //! hammers the guest vCPU with migrations; Squeezy needs almost nothing.
 
 use mem_types::MIB;
-use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
-use sim_core::metrics::mean;
+use sim_core::experiment::{run_grid, ExpOpts};
+use sim_core::stats::mean;
 use sim_core::{BusyRecorder, CostModel, DetRng, SimDuration, SimTime, TextTable};
 
 use crate::setup::{FarmKind, MemhogFarm};
@@ -82,32 +82,6 @@ impl Fig7Series {
     }
 }
 
-/// The per-method sweep on the engine: the output is a utilization
-/// timeline, so it clamps to one trial. The farm stream is derived from
-/// the trial only — NOT the method — so all three methods are measured
-/// on an identically churned farm.
-struct Fig7Exp<'a> {
-    cfg: &'a Fig7Config,
-}
-
-impl Experiment for Fig7Exp<'_> {
-    type Point = &'static str;
-    type Output = Fig7Series;
-
-    fn points(&self) -> Vec<&'static str> {
-        vec!["Balloon", "Virtio-mem", "Squeezy"]
-    }
-
-    fn seed(&self) -> u64 {
-        crate::setup::CHURN_SEED
-    }
-
-    fn run_trial(&self, method: &&'static str, ctx: &mut TrialCtx) -> Fig7Series {
-        let mut rng = DetRng::new(self.seed()).derive(ctx.trial);
-        run_method(method, self.cfg, &mut rng)
-    }
-}
-
 /// Runs the experiment for all three methods.
 pub fn run(cfg: &Fig7Config) -> Vec<Fig7Series> {
     run_with(cfg, &ExpOpts::default())
@@ -115,10 +89,19 @@ pub fn run(cfg: &Fig7Config) -> Vec<Fig7Series> {
 
 /// [`run`] with explicit engine options.
 pub fn run_with(cfg: &Fig7Config, opts: &ExpOpts) -> Vec<Fig7Series> {
-    run_experiment(&Fig7Exp { cfg }, opts.effective_jobs())
-        .into_iter()
-        .map(|mut trials| trials.remove(0))
-        .collect()
+    // The per-method grid: the output is a utilization timeline, so it
+    // runs one trial whatever `opts.trials` says. The farm stream is
+    // derived from the trial only — NOT the method — so all three
+    // methods are measured on an identically churned farm.
+    let seed = crate::setup::CHURN_SEED;
+    let methods = ["Balloon", "Virtio-mem", "Squeezy"];
+    run_grid(&methods, seed, &opts.with_trials(1), |&method, ctx| {
+        let mut rng = DetRng::new(seed).derive(ctx.trial);
+        run_method(method, cfg, &mut rng)
+    })
+    .into_iter()
+    .map(|mut trials| trials.remove(0))
+    .collect()
 }
 
 /// One reclaim/re-add cycle per period; kernel threads are pinned to

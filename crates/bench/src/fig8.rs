@@ -3,7 +3,7 @@
 //! vanilla virtio-mem vs Squeezy, per function plus geomean.
 
 use faas::{BackendKind, Deployment, FaasSim, SimConfig};
-use sim_core::experiment::{mean_over, run_experiment, ExpOpts, Experiment, TrialCtx};
+use sim_core::experiment::{mean_over, run_grid, ExpOpts};
 use sim_core::metrics::geomean;
 use sim_core::{DetRng, TextTable};
 use workloads::{bursty_arrivals, BurstyTraceConfig, FunctionKind};
@@ -54,45 +54,6 @@ pub struct Fig8Row {
     pub squeezy_mibs: f64,
 }
 
-/// The `functions × backends` sweep on the engine. The trace stream is
-/// derived from `(seed, function, trial)` only — NOT the backend — so
-/// the two backends of a pair always face identical arrivals, and
-/// trials average the throughput over independent traces.
-struct Fig8Exp<'a> {
-    cfg: &'a Fig8Config,
-    trials: u32,
-}
-
-impl Experiment for Fig8Exp<'_> {
-    type Point = (FunctionKind, BackendKind);
-    type Output = f64;
-
-    fn points(&self) -> Vec<(FunctionKind, BackendKind)> {
-        FunctionKind::ALL
-            .iter()
-            .flat_map(|&k| [(k, BackendKind::VirtioMem), (k, BackendKind::Squeezy)])
-            .collect()
-    }
-
-    fn trials(&self) -> u32 {
-        self.trials
-    }
-
-    fn seed(&self) -> u64 {
-        self.cfg.seed
-    }
-
-    fn run_trial(&self, &(kind, backend): &Self::Point, ctx: &mut TrialCtx) -> f64 {
-        // Pair the backends on one trace: derive from the function
-        // index and trial, ignoring the point's backend half.
-        let kind_idx = FunctionKind::ALL.iter().position(|&k| k == kind).unwrap() as u64;
-        let mut rng = DetRng::new(self.cfg.seed)
-            .derive(kind_idx)
-            .derive(ctx.trial);
-        run_one(kind, backend, self.cfg, &mut rng, ctx.trial)
-    }
-}
-
 /// Runs each Table-1 function on its own N:1 VM under a bursty trace,
 /// once per backend, and reports eviction-driven reclaim throughput
 /// (averaged over trials).
@@ -102,11 +63,19 @@ pub fn run(cfg: &Fig8Config) -> Vec<Fig8Row> {
 
 /// [`run`] with explicit engine options.
 pub fn run_with(cfg: &Fig8Config, opts: &ExpOpts) -> Vec<Fig8Row> {
-    let exp = Fig8Exp {
-        cfg,
-        trials: opts.trials,
-    };
-    let cells = run_experiment(&exp, opts.effective_jobs());
+    let points: Vec<(FunctionKind, BackendKind)> = FunctionKind::ALL
+        .iter()
+        .flat_map(|&k| [(k, BackendKind::VirtioMem), (k, BackendKind::Squeezy)])
+        .collect();
+    // The `functions × backends` grid. The trace stream is derived from
+    // `(seed, function, trial)` only — NOT the backend — so the two
+    // backends of a pair always face identical arrivals, and trials
+    // average the throughput over independent traces.
+    let cells = run_grid(&points, cfg.seed, opts, |&(kind, backend), ctx| {
+        let kind_idx = FunctionKind::ALL.iter().position(|&k| k == kind).unwrap() as u64;
+        let mut rng = DetRng::new(cfg.seed).derive(kind_idx).derive(ctx.trial);
+        run_one(kind, backend, cfg, &mut rng, ctx.trial)
+    });
     FunctionKind::ALL
         .iter()
         .zip(cells.chunks(2))

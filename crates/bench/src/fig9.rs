@@ -3,7 +3,7 @@
 //! than double CNN latency; Squeezy does not interfere.
 
 use faas::{BackendKind, Deployment, FaasSim, SimConfig, VmSpec};
-use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
+use sim_core::experiment::{run_grid, ExpOpts};
 use sim_core::{DetRng, TextTable};
 use workloads::FunctionKind;
 
@@ -77,39 +77,7 @@ impl Fig9Series {
             .filter(|(s, _)| *s >= from && *s < to)
             .map(|&(_, l)| l)
             .collect();
-        sim_core::metrics::mean(&xs)
-    }
-}
-
-/// The per-backend sweep on the engine. Both backends must see the same
-/// arrival jitter (the figure is a paired comparison), so the trace
-/// stream is derived from the seed alone, not the point; the output is
-/// a per-second timeline, so it clamps to one trial.
-struct Fig9Exp<'a> {
-    cfg: &'a Fig9Config,
-}
-
-impl Experiment for Fig9Exp<'_> {
-    type Point = BackendKind;
-    type Output = Fig9Series;
-
-    fn points(&self) -> Vec<BackendKind> {
-        vec![BackendKind::VirtioMem, BackendKind::Squeezy]
-    }
-
-    fn seed(&self) -> u64 {
-        self.cfg.seed
-    }
-
-    fn run_trial(&self, &backend: &BackendKind, ctx: &mut TrialCtx) -> Fig9Series {
-        // A dedicated tag separates the trace stream from the FaaS
-        // sim's jitter stream (`DetRng::new(seed).derive(trial)`) —
-        // without it the two noise sources would replay the same draws.
-        const TRACE_STREAM: u64 = 0x9A;
-        let mut rng = DetRng::new(self.cfg.seed)
-            .derive(TRACE_STREAM)
-            .derive(ctx.trial);
-        run_one(backend, self.cfg, &mut rng)
+        sim_core::stats::mean(&xs)
     }
 }
 
@@ -120,10 +88,27 @@ pub fn run(cfg: &Fig9Config) -> Vec<Fig9Series> {
 
 /// [`run`] with explicit engine options.
 pub fn run_with(cfg: &Fig9Config, opts: &ExpOpts) -> Vec<Fig9Series> {
-    run_experiment(&Fig9Exp { cfg }, opts.effective_jobs())
-        .into_iter()
-        .map(|mut trials| trials.remove(0))
-        .collect()
+    // The per-backend grid. Both backends must see the same arrival
+    // jitter (the figure is a paired comparison), so the trace stream is
+    // derived from the seed alone, not the point; the output is a
+    // per-second timeline, so it runs one trial whatever `opts.trials`
+    // says. A dedicated tag separates the trace stream from the FaaS
+    // sim's jitter stream (`DetRng::new(seed).derive(trial)`) — without
+    // it the two noise sources would replay the same draws.
+    const TRACE_STREAM: u64 = 0x9A;
+    let backends = [BackendKind::VirtioMem, BackendKind::Squeezy];
+    run_grid(
+        &backends,
+        cfg.seed,
+        &opts.with_trials(1),
+        |&backend, ctx| {
+            let mut rng = DetRng::new(cfg.seed).derive(TRACE_STREAM).derive(ctx.trial);
+            run_one(backend, cfg, &mut rng)
+        },
+    )
+    .into_iter()
+    .map(|mut trials| trials.remove(0))
+    .collect()
 }
 
 fn run_one(backend: BackendKind, cfg: &Fig9Config, rng: &mut DetRng) -> Fig9Series {

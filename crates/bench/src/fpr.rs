@@ -13,7 +13,7 @@
 //! usable).
 
 use mem_types::MIB;
-use sim_core::experiment::{mean_over, run_reduced, ExpOpts, Experiment, TrialCtx};
+use sim_core::experiment::{mean_over, run_grid, ExpOpts};
 use sim_core::{CostModel, DetRng, SimDuration, TextTable};
 use vmm::Vm;
 
@@ -65,43 +65,6 @@ pub struct FprRow {
     pub usable_after_mib: f64,
 }
 
-/// The per-interface sweep on the engine; trials re-churn the farms
-/// from independent streams and the numeric columns are averaged. The
-/// farm stream is derived from the trial only — NOT the interface — so
-/// all four interfaces really do reclaim from identical farms.
-struct FprExp<'a> {
-    cfg: &'a FprConfig,
-    trials: u32,
-}
-
-impl Experiment for FprExp<'_> {
-    type Point = &'static str;
-    type Output = FprRow;
-
-    fn points(&self) -> Vec<&'static str> {
-        vec!["free-page-reporting", "balloon", "virtio-mem", "squeezy"]
-    }
-
-    fn trials(&self) -> u32 {
-        self.trials
-    }
-
-    fn seed(&self) -> u64 {
-        crate::setup::CHURN_SEED
-    }
-
-    fn run_trial(&self, method: &&'static str, ctx: &mut TrialCtx) -> FprRow {
-        let cost = CostModel::default();
-        let mut rng = DetRng::new(self.seed()).derive(ctx.trial);
-        match *method {
-            "free-page-reporting" => fpr_row(self.cfg, &cost, &mut rng),
-            "balloon" => balloon_row(self.cfg, &cost, &mut rng),
-            "virtio-mem" => virtio_row(self.cfg, &cost, &mut rng),
-            _ => squeezy_row(self.cfg, &cost, &mut rng),
-        }
-    }
-}
-
 /// Runs the four interfaces over identical farms.
 pub fn run(cfg: &FprConfig) -> Vec<FprRow> {
     run_with(cfg, &ExpOpts::default())
@@ -109,17 +72,31 @@ pub fn run(cfg: &FprConfig) -> Vec<FprRow> {
 
 /// [`run`] with explicit engine options.
 pub fn run_with(cfg: &FprConfig, opts: &ExpOpts) -> Vec<FprRow> {
-    let exp = FprExp {
-        cfg,
-        trials: opts.trials,
-    };
-    run_reduced(&exp, opts.effective_jobs(), |trials| FprRow {
+    // The per-interface grid; trials re-churn the farms from
+    // independent streams and the numeric columns are averaged. The
+    // farm stream is derived from the trial only — NOT the interface —
+    // so all four interfaces really do reclaim from identical farms.
+    let seed = crate::setup::CHURN_SEED;
+    let methods = ["free-page-reporting", "balloon", "virtio-mem", "squeezy"];
+    run_grid(&methods, seed, opts, |&method, ctx| {
+        let cost = CostModel::default();
+        let mut rng = DetRng::new(seed).derive(ctx.trial);
+        match method {
+            "free-page-reporting" => fpr_row(cfg, &cost, &mut rng),
+            "balloon" => balloon_row(cfg, &cost, &mut rng),
+            "virtio-mem" => virtio_row(cfg, &cost, &mut rng),
+            _ => squeezy_row(cfg, &cost, &mut rng),
+        }
+    })
+    .into_iter()
+    .map(|trials| FprRow {
         method: trials[0].method,
         reclaimed_mib: mean_over(&trials, |r| r.reclaimed_mib),
         latency_ms: mean_over(&trials, |r| r.latency_ms),
         guest_cpu_ms: mean_over(&trials, |r| r.guest_cpu_ms),
         usable_after_mib: mean_over(&trials, |r| r.usable_after_mib),
     })
+    .collect()
 }
 
 /// Kills every other hog, returning the freed bytes.

@@ -8,7 +8,7 @@
 //! above it, paying one clone per extra VM.
 
 use faas::{absorb_burst, BurstOutcome, ScaleStrategy};
-use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
+use sim_core::experiment::{run_grid, ExpOpts};
 use sim_core::{CostModel, TextTable};
 use workloads::FunctionKind;
 
@@ -43,31 +43,6 @@ impl HybridConfig {
     }
 }
 
-/// The `bursts × strategies` sweep on the engine; the burst model is
-/// deterministic, so it clamps to one trial.
-struct HybridExp<'a> {
-    cfg: &'a HybridConfig,
-}
-
-impl Experiment for HybridExp<'_> {
-    type Point = (u32, ScaleStrategy);
-    type Output = BurstOutcome;
-
-    fn points(&self) -> Vec<(u32, ScaleStrategy)> {
-        self.cfg
-            .bursts
-            .iter()
-            .flat_map(|&b| ScaleStrategy::ALL.into_iter().map(move |s| (b, s)))
-            .collect()
-    }
-
-    fn run_trial(&self, &(burst, strategy): &Self::Point, _ctx: &mut TrialCtx) -> BurstOutcome {
-        let cost = CostModel::default();
-        absorb_burst(self.cfg.kind, strategy, self.cfg.n_per_vm, burst, &cost)
-            .expect("host is unconstrained")
-    }
-}
-
 /// Runs the sweep: one outcome per burst × strategy.
 pub fn run(cfg: &HybridConfig) -> Vec<BurstOutcome> {
     run_with(cfg, &ExpOpts::default())
@@ -75,10 +50,20 @@ pub fn run(cfg: &HybridConfig) -> Vec<BurstOutcome> {
 
 /// [`run`] with explicit engine options.
 pub fn run_with(cfg: &HybridConfig, opts: &ExpOpts) -> Vec<BurstOutcome> {
-    run_experiment(&HybridExp { cfg }, opts.effective_jobs())
-        .into_iter()
-        .map(|mut trials| trials.remove(0))
-        .collect()
+    let points: Vec<(u32, ScaleStrategy)> = cfg
+        .bursts
+        .iter()
+        .flat_map(|&b| ScaleStrategy::ALL.into_iter().map(move |s| (b, s)))
+        .collect();
+    // The `bursts × strategies` grid; the burst model is deterministic,
+    // so it runs one trial whatever `opts.trials` says.
+    run_grid(&points, 0, &opts.with_trials(1), |&(burst, strategy), _| {
+        let cost = CostModel::default();
+        absorb_burst(cfg.kind, strategy, cfg.n_per_vm, burst, &cost).expect("host is unconstrained")
+    })
+    .into_iter()
+    .map(|mut trials| trials.remove(0))
+    .collect()
 }
 
 /// Renders the sweep as a text table.

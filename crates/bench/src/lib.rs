@@ -1,9 +1,16 @@
 //! The benchmark harness: one module per table/figure of the paper.
 //!
-//! Every module exposes a `Config` with `paper()` (full scale) and
-//! `quick()` (CI scale) presets, a `run()` driver returning structured
-//! results, and a `render()` that prints the same rows/series the paper
-//! reports. The `repro` binary regenerates everything:
+//! A figure module exposes a `Config` with `paper()` (full scale) and
+//! `quick()` (CI scale) presets (Figure 11 and the soft-memory and
+//! temporal ablations have nothing to scale and take none), a `run()`
+//! driver returning structured results, `run_with()` taking the runner
+//! options, and a `render()` that prints the same rows/series the paper
+//! reports. Each driver is one or two `sim_core::experiment::run_grid`
+//! calls: the grid's points are a slice, one `(point, trial)` cell is a
+//! closure, and the call states its seed and trial count. `setup` holds
+//! the shared memhog farms; `perf` holds the drumbeat the repository
+//! benchmark (`perfbench/`) replays. The `repro` binary regenerates
+//! everything from one table of targets:
 //!
 //! ```text
 //! cargo run --release -p squeezy-bench --bin repro -- all

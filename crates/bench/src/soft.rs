@@ -17,7 +17,7 @@
 
 use guest_mm::{AllocPolicy, GuestMmConfig};
 use mem_types::{GIB, MIB};
-use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
+use sim_core::experiment::{run_grid, ExpOpts};
 use sim_core::{CostModel, SimDuration, TextTable};
 use squeezy::{SoftWake, SqueezyConfig, SqueezyManager};
 use vmm::{HostMemory, Vm, VmConfig};
@@ -78,26 +78,6 @@ pub struct SoftRow {
     pub restart_ms: f64,
 }
 
-/// The `functions × policies` grid on the engine; the warm/idle/restart
-/// cycle is deterministic, so it clamps to one trial.
-struct SoftExp;
-
-impl Experiment for SoftExp {
-    type Point = (FunctionKind, IdlePolicy);
-    type Output = SoftRow;
-
-    fn points(&self) -> Vec<(FunctionKind, IdlePolicy)> {
-        FunctionKind::ALL
-            .into_iter()
-            .flat_map(|k| IdlePolicy::ALL.into_iter().map(move |p| (k, p)))
-            .collect()
-    }
-
-    fn run_trial(&self, &(kind, policy): &Self::Point, _ctx: &mut TrialCtx) -> SoftRow {
-        measure(kind, policy, &CostModel::default())
-    }
-}
-
 /// Runs the ablation over every Table-1 function × policy.
 pub fn run() -> Vec<SoftRow> {
     run_with(&ExpOpts::default())
@@ -105,10 +85,18 @@ pub fn run() -> Vec<SoftRow> {
 
 /// [`run`] with explicit engine options.
 pub fn run_with(opts: &ExpOpts) -> Vec<SoftRow> {
-    run_experiment(&SoftExp, opts.effective_jobs())
+    let points: Vec<(FunctionKind, IdlePolicy)> = FunctionKind::ALL
         .into_iter()
-        .map(|mut trials| trials.remove(0))
-        .collect()
+        .flat_map(|k| IdlePolicy::ALL.into_iter().map(move |p| (k, p)))
+        .collect();
+    // The `functions × policies` grid; the warm/idle/restart cycle is
+    // deterministic, so it runs one trial whatever `opts.trials` says.
+    run_grid(&points, 0, &opts.with_trials(1), |&(kind, policy), _| {
+        measure(kind, policy, &CostModel::default())
+    })
+    .into_iter()
+    .map(|mut trials| trials.remove(0))
+    .collect()
 }
 
 /// Measures one function × policy cycle: warm instance → idle → restart.

@@ -18,7 +18,7 @@
 
 use guest_mm::{AllocPolicy, GuestMmConfig};
 use mem_types::{GIB, MIB, PAGE_SIZE};
-use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
+use sim_core::experiment::{run_grid, ExpOpts};
 use sim_core::{CostModel, SimDuration, TextTable};
 use squeezy::{FlexManager, TemporalInstance};
 use vmm::{HostMemory, Vm, VmConfig};
@@ -62,26 +62,6 @@ pub struct TemporalRow {
 const SCRATCH_NUM: u64 = 6;
 const SCRATCH_DEN: u64 = 10;
 
-/// The `functions × granularities` grid on the engine; the invocation
-/// cycle is deterministic, so it clamps to one trial.
-struct TemporalExp;
-
-impl Experiment for TemporalExp {
-    type Point = (FunctionKind, Granularity);
-    type Output = TemporalRow;
-
-    fn points(&self) -> Vec<(FunctionKind, Granularity)> {
-        FunctionKind::ALL
-            .into_iter()
-            .flat_map(|k| [(k, Granularity::Instance), (k, Granularity::Invocation)])
-            .collect()
-    }
-
-    fn run_trial(&self, &(kind, granularity): &Self::Point, _ctx: &mut TrialCtx) -> TemporalRow {
-        measure(kind, granularity, 5, &CostModel::default())
-    }
-}
-
 /// Runs the ablation: every function × both granularities, 5 rounds.
 pub fn run() -> Vec<TemporalRow> {
     run_with(&ExpOpts::default())
@@ -89,10 +69,21 @@ pub fn run() -> Vec<TemporalRow> {
 
 /// [`run`] with explicit engine options.
 pub fn run_with(opts: &ExpOpts) -> Vec<TemporalRow> {
-    run_experiment(&TemporalExp, opts.effective_jobs())
+    let points: Vec<(FunctionKind, Granularity)> = FunctionKind::ALL
         .into_iter()
-        .map(|mut trials| trials.remove(0))
-        .collect()
+        .flat_map(|k| [(k, Granularity::Instance), (k, Granularity::Invocation)])
+        .collect();
+    // The `functions × granularities` grid; the invocation cycle is
+    // deterministic, so it runs one trial whatever `opts.trials` says.
+    run_grid(
+        &points,
+        0,
+        &opts.with_trials(1),
+        |&(kind, granularity), _| measure(kind, granularity, 5, &CostModel::default()),
+    )
+    .into_iter()
+    .map(|mut trials| trials.remove(0))
+    .collect()
 }
 
 fn boot(cost: &CostModel) -> (Vm, HostMemory, FlexManager) {

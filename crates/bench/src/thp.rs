@@ -16,7 +16,7 @@
 
 use guest_mm::{GuestMmConfig, PAGES_PER_HUGE};
 use mem_types::{align_up_to_block, GIB, MIB, PAGE_SIZE};
-use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
+use sim_core::experiment::{run_grid, ExpOpts};
 use sim_core::{CostModel, DetRng, TextTable};
 use squeezy::{SqueezyConfig, SqueezyManager};
 use vmm::{HostMemory, Vm, VmConfig};
@@ -101,47 +101,6 @@ enum ThpPartOut {
     Contiguity { aged: f64, partition: f64 },
 }
 
-/// The three-part ablation as a five-point sweep on the engine (cold
-/// touch and reclaim split per backing); the aging shuffle draws from
-/// the trial stream.
-struct ThpExp<'a> {
-    cfg: &'a ThpConfig,
-}
-
-impl Experiment for ThpExp<'_> {
-    type Point = ThpPart;
-    type Output = ThpPartOut;
-
-    fn points(&self) -> Vec<ThpPart> {
-        vec![
-            ThpPart::Cold { huge: false },
-            ThpPart::Cold { huge: true },
-            ThpPart::Reclaim { huge: false },
-            ThpPart::Reclaim { huge: true },
-            ThpPart::Contiguity,
-        ]
-    }
-
-    fn seed(&self) -> u64 {
-        0x7867
-    }
-
-    fn run_trial(&self, &part: &ThpPart, ctx: &mut TrialCtx) -> ThpPartOut {
-        let cost = CostModel::default();
-        match part {
-            ThpPart::Cold { huge } => ThpPartOut::ColdMs {
-                huge,
-                ms: cold_touch(self.cfg, huge, &cost),
-            },
-            ThpPart::Reclaim { huge } => ThpPartOut::Reclaim(reclaim_row(self.cfg, huge, &cost)),
-            ThpPart::Contiguity => {
-                let (aged, partition) = contiguity(self.cfg, &cost, &mut ctx.rng);
-                ThpPartOut::Contiguity { aged, partition }
-            }
-        }
-    }
-}
-
 /// Runs all three parts of the ablation.
 pub fn run(cfg: &ThpConfig) -> ThpResult {
     run_with(cfg, &ExpOpts::default())
@@ -149,7 +108,31 @@ pub fn run(cfg: &ThpConfig) -> ThpResult {
 
 /// [`run`] with explicit engine options.
 pub fn run_with(cfg: &ThpConfig, opts: &ExpOpts) -> ThpResult {
-    let parts = run_experiment(&ThpExp { cfg }, opts.effective_jobs());
+    let points = [
+        ThpPart::Cold { huge: false },
+        ThpPart::Cold { huge: true },
+        ThpPart::Reclaim { huge: false },
+        ThpPart::Reclaim { huge: true },
+        ThpPart::Contiguity,
+    ];
+    // The three-part ablation as a five-point grid (cold touch and
+    // reclaim split per backing); the aging shuffle draws from the
+    // trial stream. Each part is one artifact, so it runs one trial
+    // whatever `opts.trials` says.
+    let parts = run_grid(&points, 0x7867, &opts.with_trials(1), |&part, ctx| {
+        let cost = CostModel::default();
+        match part {
+            ThpPart::Cold { huge } => ThpPartOut::ColdMs {
+                huge,
+                ms: cold_touch(cfg, huge, &cost),
+            },
+            ThpPart::Reclaim { huge } => ThpPartOut::Reclaim(reclaim_row(cfg, huge, &cost)),
+            ThpPart::Contiguity => {
+                let (aged, partition) = contiguity(cfg, &cost, &mut ctx.rng);
+                ThpPartOut::Contiguity { aged, partition }
+            }
+        }
+    });
     let mut result = ThpResult {
         cold_touch_4k_ms: 0.0,
         cold_touch_2m_ms: 0.0,

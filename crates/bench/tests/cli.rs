@@ -17,9 +17,33 @@ fn unknown_target_exits_2_listing_the_valid_targets() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown target \"perf\""), "{stderr}");
-    for target in ["all", "table1", "fig11", "cluster", "run", "scenarios"] {
-        assert!(stderr.contains(target), "{target} missing from: {stderr}");
-    }
+    // Every target, in report order: `all`, the report sections exactly
+    // as `repro all` prints them, then the commands.
+    let targets = [
+        "all",
+        "table1",
+        "fig1",
+        "fig2",
+        "fig5",
+        "fig6",
+        "fig7",
+        "fig8",
+        "fig9",
+        "fig10",
+        "fig11",
+        "thp",
+        "soft",
+        "fpr",
+        "temporal",
+        "cluster",
+        "fleet",
+        "hybrid",
+        "run",
+        "gen-trace",
+        "scenarios",
+    ];
+    let listed = format!("(valid targets: {})", targets.join(", "));
+    assert!(stderr.contains(&listed), "{listed} missing from: {stderr}");
 }
 
 #[test]

@@ -38,7 +38,7 @@ impl FuncMetrics {
         if pts.is_empty() {
             None
         } else {
-            Some(sim_core::metrics::mean(&pts))
+            Some(sim_core::stats::mean(&pts))
         }
     }
 }

@@ -8,7 +8,7 @@
 //! named cells — `name/backend=squeezy/policy=fixed/hosts=4` — each a
 //! plain single-backend [`Scenario`], all sharing the base seed so
 //! every cell sees identical tenant traces (paired comparison). The
-//! whole grid runs through one [`run_experiment`] call, so output is
+//! whole grid runs through one [`run_grid`] call, so output is
 //! byte-identical for any `--jobs`, and `expect.*` gates are evaluated
 //! per cell afterwards.
 //!
@@ -16,7 +16,7 @@
 //! like the scalar format — the roundtrip property test covers list
 //! and range axes and `expect.*` lines too.
 
-use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
+use sim_core::experiment::{run_grid, ExpOpts};
 
 use super::expect::{self, ExpectVerdict, Expectation};
 use super::result::{render_table, Row};
@@ -495,9 +495,9 @@ impl SweepSpec {
                 c.scenario.trials
             }
         };
-        // One flat unit per (cell, backend, trial): a single
-        // experiment over the whole grid keeps the parallel/serial
-        // byte-identity guarantee the engine already provides.
+        // One flat unit per (cell, backend, trial): a single grid run
+        // keeps the parallel/serial byte-identity guarantee the engine
+        // already provides.
         let mut units: Vec<(usize, BackendKind, u64)> = Vec::new();
         for (ci, c) in cells.iter().enumerate() {
             for &b in &c.scenario.backends {
@@ -506,46 +506,12 @@ impl SweepSpec {
                 }
             }
         }
-        struct Exp<'a> {
-            cells: &'a [SweepCell],
-            units: &'a [(usize, BackendKind, u64)],
-            seed: u64,
-        }
-        impl Experiment for Exp<'_> {
-            type Point = (usize, BackendKind, u64);
-            type Output = ScenarioOutcome;
-
-            fn points(&self) -> Vec<Self::Point> {
-                self.units.to_vec()
-            }
-
-            fn trials(&self) -> u32 {
-                // The grid's trial dimension is flattened into the
-                // point, so per-cell trial counts can differ.
-                1
-            }
-
-            fn seed(&self) -> u64 {
-                self.seed
-            }
-
-            fn run_trial(
-                &self,
-                &(ci, backend, trial): &Self::Point,
-                _ctx: &mut TrialCtx,
-            ) -> ScenarioOutcome {
-                self.cells[ci].scenario.run_trial(backend, trial)
-            }
-        }
-        let grouped = run_experiment(
-            &Exp {
-                cells: &cells,
-                units: &units,
-                seed: self.base.seed,
-            },
-            opts.effective_jobs(),
-        );
-        let mut flat = grouped
+        // The grid's trial dimension is flattened into the point, so
+        // per-cell trial counts can differ: the runner sees one trial.
+        let run_unit = |&(ci, backend, trial): &(usize, BackendKind, u64), _: &mut _| {
+            cells[ci].scenario.run_trial(backend, trial)
+        };
+        let mut flat = run_grid(&units, self.base.seed, &opts.with_trials(1), run_unit)
             .into_iter()
             .map(|mut per_point| per_point.pop().expect("one trial per unit"));
         let mut results: Vec<(String, ScenarioResult)> = Vec::with_capacity(cells.len());

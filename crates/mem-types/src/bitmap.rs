@@ -185,30 +185,6 @@ impl Bitmap {
         }
         None
     }
-
-    /// Iterates over the indices of all set bits in ascending order.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(move |(wi, &w)| {
-            let len = self.len;
-            let mut w = w;
-            core::iter::from_fn(move || {
-                while w != 0 {
-                    let bit = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    let idx = wi * 64 + bit;
-                    if idx < len {
-                        return Some(idx);
-                    }
-                }
-                None
-            })
-        })
-    }
-
-    /// Iterates over the indices of all clear bits in ascending order.
-    pub fn iter_zeros(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len).filter(move |&i| !self.get(i))
-    }
 }
 
 #[cfg(test)]
@@ -243,20 +219,6 @@ mod tests {
         assert_eq!(b.first_one(), Some(0));
         b.clear(69);
         assert_eq!(b.first_zero(), Some(69));
-    }
-
-    #[test]
-    fn iter_ones_matches_gets() {
-        let mut b = Bitmap::new(200);
-        let set = [0usize, 1, 63, 64, 65, 127, 128, 199];
-        for &i in &set {
-            b.set(i);
-        }
-        let got: Vec<_> = b.iter_ones().collect();
-        assert_eq!(got, set);
-        let zeros: Vec<_> = b.iter_zeros().collect();
-        assert_eq!(zeros.len(), 200 - set.len());
-        assert!(!zeros.contains(&64));
     }
 
     #[test]

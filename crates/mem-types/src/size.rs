@@ -36,16 +36,6 @@ impl ByteSize {
     pub const fn as_mib(self) -> u64 {
         self.0 / MIB
     }
-
-    /// Returns this size expressed in mebibytes as a float.
-    pub fn as_mib_f64(self) -> f64 {
-        self.0 as f64 / MIB as f64
-    }
-
-    /// Returns this size expressed in gibibytes as a float.
-    pub fn as_gib_f64(self) -> f64 {
-        self.0 as f64 / GIB as f64
-    }
 }
 
 impl fmt::Display for ByteSize {
@@ -123,7 +113,5 @@ mod tests {
     #[test]
     fn conversions() {
         assert_eq!(ByteSize::gib(2).as_mib(), 2048);
-        assert!((ByteSize::mib(1536).as_gib_f64() - 1.5).abs() < 1e-9);
-        assert!((ByteSize::kib(512).as_mib_f64() - 0.5).abs() < 1e-9);
     }
 }

@@ -113,16 +113,6 @@ impl CpuPool {
         id
     }
 
-    /// Adds `extra` cpu-seconds of demand to an existing task.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the task does not exist.
-    pub fn add_demand(&mut self, id: TaskId, extra: f64) {
-        let t = self.tasks.get_mut(&id).expect("no such task");
-        t.remaining += extra;
-    }
-
     /// Removes a task, returning the cpu-seconds it consumed.
     ///
     /// # Panics
@@ -341,15 +331,6 @@ mod tests {
         // `b` now gets the whole CPU.
         assert_close(pool.rate_of(b).unwrap(), 1.0);
         assert_close(pool.total_consumed(), 1.0);
-    }
-
-    #[test]
-    fn add_demand_extends_task() {
-        let mut pool = CpuPool::new(1.0);
-        let a = pool.add_task(1.0, 1.0, 1.0);
-        pool.add_demand(a, 1.0);
-        let (_, when) = pool.next_completion().unwrap();
-        assert_close(when.as_secs_f64(), 2.0);
     }
 
     #[test]

@@ -1,43 +1,29 @@
-//! Generic multi-trial, multi-point experiment engine.
+//! The multi-trial, multi-point experiment runner.
 //!
 //! Every figure of the paper is a grid: sweep points (sizes,
-//! utilizations, backends, functions) × repeated trials. This module
-//! factors that shape out of the bench harness:
-//!
-//! * [`Experiment`] — a sweep: `points()` enumerates the grid,
-//!   `run_trial()` computes one `(point, trial)` cell from its own
-//!   deterministic [`DetRng`] stream.
-//! * [`run_experiment`] — the runner. Serial or parallel
-//!   (`std::thread::scope`, a shared cursor over a fixed unit list — no
-//!   work stealing), it always produces *bit-identical* results: each
-//!   cell's RNG stream is derived purely from `(seed, point, trial)`
-//!   and outputs are reduced in index order, so thread count and
-//!   scheduling cannot leak into results.
-//! * [`Summary`] — mean/stddev/min/max/percentile aggregation over
-//!   per-trial samples.
+//! utilizations, backends, functions) × repeated trials. [`run_grid`]
+//! runs one closure per `(point, trial)` cell, each on its own
+//! deterministic [`DetRng`] stream, serially or on a fixed number of
+//! workers (`std::thread::scope`, a shared cursor over a fixed unit
+//! list, no work stealing). Results are *bit-identical* for any worker
+//! count: each cell's stream is derived purely from `(seed, point,
+//! trial)` and outputs are reduced in index order, so thread count and
+//! scheduling cannot leak into results. Each call states its seed and,
+//! through [`ExpOpts::trials`], its trial count.
 //!
 //! ```
-//! use sim_core::experiment::{run_experiment, Experiment, TrialCtx};
+//! use sim_core::experiment::{run_grid, ExpOpts};
 //!
-//! struct Square;
-//! impl Experiment for Square {
-//!     type Point = u64;
-//!     type Output = u64;
-//!     fn points(&self) -> Vec<u64> {
-//!         vec![1, 2, 3]
-//!     }
-//!     fn run_trial(&self, p: &u64, _ctx: &mut TrialCtx) -> u64 {
-//!         p * p
-//!     }
-//! }
-//! let out = run_experiment(&Square, 4);
-//! assert_eq!(out, vec![vec![1], vec![4], vec![9]]);
+//! let opts = ExpOpts::auto().with_trials(2);
+//! let out = run_grid(&[1u64, 2, 3], 7, &opts, |&p, ctx| p * p + ctx.trial);
+//! assert_eq!(out, vec![vec![1, 2], vec![4, 5], vec![9, 10]]);
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::rng::DetRng;
+use crate::stats::mean;
 
 /// Runner options threaded from the CLI (`repro --jobs N --trials N`)
 /// into every experiment.
@@ -48,9 +34,9 @@ pub struct ExpOpts {
     pub jobs: usize,
     /// Repeated trials per sweep point. Trial `t` of point `p` always
     /// sees the stream `root.derive(p).derive(t)`, so adding trials
-    /// never perturbs earlier ones. Experiments whose output is a
-    /// single deterministic artifact (timelines, tables) may clamp
-    /// this to 1.
+    /// never perturbs earlier ones. Grids whose output is a single
+    /// deterministic artifact (timelines, tables) run with
+    /// `with_trials(1)`.
     pub trials: u32,
 }
 
@@ -99,9 +85,9 @@ impl Default for ExpOpts {
     }
 }
 
-/// Per-cell context handed to [`Experiment::run_trial`].
+/// Per-cell context handed to the [`run_grid`] closure.
 pub struct TrialCtx {
-    /// Index of the sweep point in [`Experiment::points`] order.
+    /// Index of the sweep point in the `points` slice.
     pub point: usize,
     /// Trial number within the point (`0..trials`).
     pub trial: u64,
@@ -111,66 +97,46 @@ pub struct TrialCtx {
     pub rng: DetRng,
 }
 
-/// A sweep of independent `(point, trial)` cells.
+/// Runs `cell` on every `(point, trial)` of the grid, `opts.trials`
+/// trials per point, on up to `opts.effective_jobs()` workers, and
+/// returns, per point (in `points` order), the per-trial outputs (in
+/// trial order). Bit-identical for every `jobs` value.
 ///
-/// Implementations must be [`Sync`]: the runner shares `&self` across
-/// worker threads. All mutable state belongs in `run_trial` locals.
-pub trait Experiment: Sync {
-    /// One sweep coordinate (a size, a backend, a function, ...).
-    type Point: Send + Sync;
-    /// The structured result of one trial at one point.
-    type Output: Send;
-
-    /// Enumerates the sweep grid. Called once per run; the order
-    /// defines point indices and the order of the result vector.
-    fn points(&self) -> Vec<Self::Point>;
-
-    /// Number of repeated trials per point (defaults to one).
-    fn trials(&self) -> u32 {
-        1
-    }
-
-    /// Root seed of the experiment's RNG tree.
-    fn seed(&self) -> u64 {
-        0
-    }
-
-    /// Computes one cell. Must depend only on `point` and `ctx` (plus
-    /// `&self` config) — never on other cells' results or shared
-    /// mutable state — so that sharding is sound.
-    fn run_trial(&self, point: &Self::Point, ctx: &mut TrialCtx) -> Self::Output;
-}
-
-/// Runs the full grid on up to `jobs` workers and returns, per point
-/// (in [`Experiment::points`] order), the per-trial outputs (in trial
-/// order). Bit-identical for every `jobs` value.
-pub fn run_experiment<E: Experiment>(exp: &E, jobs: usize) -> Vec<Vec<E::Output>> {
-    let points = exp.points();
-    let trials = exp.trials().max(1) as usize;
+/// `cell` must depend only on its point and its [`TrialCtx`] (plus
+/// captured read-only config), never on other cells' results or shared
+/// mutable state, so that sharding is sound.
+pub fn run_grid<P, O, F>(points: &[P], seed: u64, opts: &ExpOpts, cell: F) -> Vec<Vec<O>>
+where
+    P: Sync,
+    O: Send,
+    F: Fn(&P, &mut TrialCtx) -> O + Sync,
+{
+    let jobs = opts.effective_jobs();
+    let trials = opts.trials.max(1) as usize;
     let units = points.len() * trials;
-    let root = DetRng::new(exp.seed());
-    let cell = |i: usize| -> (usize, E::Output) {
+    let root = DetRng::new(seed);
+    let unit = |i: usize| -> O {
         let (p, t) = (i / trials, i % trials);
         let mut ctx = TrialCtx {
             point: p,
             trial: t as u64,
             rng: root.derive(p as u64).derive(t as u64),
         };
-        (p, exp.run_trial(&points[p], &mut ctx))
+        cell(&points[p], &mut ctx)
     };
 
-    let mut flat: Vec<Option<E::Output>> = Vec::with_capacity(units);
+    let mut flat: Vec<Option<O>> = Vec::with_capacity(units);
     if jobs <= 1 || units <= 1 {
         // Serial reference path: plain loop in index order.
         for i in 0..units {
-            flat.push(Some(cell(i).1));
+            flat.push(Some(unit(i)));
         }
     } else {
         // Parallel path: a fixed unit list and a shared cursor. Each
         // worker claims the next unassigned cell and writes it into
         // its slot; no work stealing, no shared RNG, and the ordered
         // reduction below is independent of completion order.
-        let slots: Vec<Mutex<Option<E::Output>>> = (0..units).map(|_| Mutex::new(None)).collect();
+        let slots: Vec<Mutex<Option<O>>> = (0..units).map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..jobs.min(units) {
@@ -179,7 +145,7 @@ pub fn run_experiment<E: Experiment>(exp: &E, jobs: usize) -> Vec<Vec<E::Output>
                     if i >= units {
                         break;
                     }
-                    let out = cell(i).1;
+                    let out = unit(i);
                     *slots[i].lock().expect("no panics while holding the slot") = Some(out);
                 });
             }
@@ -190,8 +156,8 @@ pub fn run_experiment<E: Experiment>(exp: &E, jobs: usize) -> Vec<Vec<E::Output>
     }
 
     // Ordered reduction: regroup the flat unit list per point.
-    let mut grouped: Vec<Vec<E::Output>> = Vec::with_capacity(points.len());
-    for chunk in &mut flat.chunks_mut(trials.max(1)) {
+    let mut grouped: Vec<Vec<O>> = Vec::with_capacity(points.len());
+    for chunk in &mut flat.chunks_mut(trials) {
         grouped.push(
             chunk
                 .iter_mut()
@@ -202,118 +168,39 @@ pub fn run_experiment<E: Experiment>(exp: &E, jobs: usize) -> Vec<Vec<E::Output>
     grouped
 }
 
-/// Runs the grid and reduces each point's trials with `f`.
-pub fn run_reduced<E: Experiment, R, F>(exp: &E, jobs: usize, f: F) -> Vec<R>
-where
-    F: Fn(Vec<E::Output>) -> R,
-{
-    run_experiment(exp, jobs).into_iter().map(f).collect()
-}
-
-/// Mean/stddev/percentile summary of per-trial samples.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct Summary {
-    /// Sample count.
-    pub n: usize,
-    /// Arithmetic mean (0 when empty).
-    pub mean: f64,
-    /// Population standard deviation (0 when empty or singleton).
-    pub stddev: f64,
-    /// Smallest sample (0 when empty).
-    pub min: f64,
-    /// Largest sample (0 when empty).
-    pub max: f64,
-    /// Median by nearest rank (0 when empty).
-    pub p50: f64,
-    /// 99th percentile by nearest rank (0 when empty).
-    pub p99: f64,
-}
-
-impl Summary {
-    /// Summarizes a sample set.
-    pub fn of(samples: &[f64]) -> Summary {
-        if samples.is_empty() {
-            return Summary::default();
-        }
-        let n = samples.len();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples are finite"));
-        let rank = |q: f64| {
-            sorted[((n as f64 * q).ceil() as usize)
-                .saturating_sub(1)
-                .min(n - 1)]
-        };
-        Summary {
-            n,
-            mean,
-            stddev: var.sqrt(),
-            min: sorted[0],
-            max: sorted[n - 1],
-            p50: rank(0.5),
-            p99: rank(0.99),
-        }
-    }
-
-    /// Summarizes one metric extracted from per-trial outputs.
-    pub fn over<O, F: Fn(&O) -> f64>(outputs: &[O], metric: F) -> Summary {
-        let samples: Vec<f64> = outputs.iter().map(metric).collect();
-        Summary::of(&samples)
-    }
-}
-
 /// Mean of one metric over per-trial outputs (0 when empty).
 pub fn mean_over<O, F: Fn(&O) -> f64>(outputs: &[O], metric: F) -> f64 {
-    Summary::over(outputs, metric).mean
+    let samples: Vec<f64> = outputs.iter().map(metric).collect();
+    mean(&samples)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A toy stochastic experiment: every cell draws from its private
+    /// A toy stochastic grid: every cell draws from its private
     /// stream, so any cross-cell interference or RNG sharing would
     /// change results between serial and parallel runs.
-    struct Toy {
-        trials: u32,
-    }
-
-    impl Experiment for Toy {
-        type Point = u64;
-        type Output = Vec<u64>;
-
-        fn points(&self) -> Vec<u64> {
-            (0..7).collect()
-        }
-
-        fn trials(&self) -> u32 {
-            self.trials
-        }
-
-        fn seed(&self) -> u64 {
-            0xE47
-        }
-
-        fn run_trial(&self, point: &u64, ctx: &mut TrialCtx) -> Vec<u64> {
+    fn toy(trials: u32, jobs: usize) -> Vec<Vec<Vec<u64>>> {
+        let points: Vec<u64> = (0..7).collect();
+        let opts = ExpOpts { jobs, trials };
+        run_grid(&points, 0xE47, &opts, |&point, ctx| {
             (0..64).map(|_| ctx.rng.range(0, 1 << 32) ^ point).collect()
-        }
+        })
     }
 
     #[test]
     fn parallel_matches_serial_bit_for_bit() {
-        let exp = Toy { trials: 5 };
-        let serial = run_experiment(&exp, 1);
+        let serial = toy(5, 1);
         for jobs in [2, 3, 8, 64] {
-            let parallel = run_experiment(&exp, jobs);
+            let parallel = toy(5, jobs);
             assert_eq!(serial, parallel, "jobs={jobs} diverged");
         }
     }
 
     #[test]
     fn grid_shape_and_ordering() {
-        let exp = Toy { trials: 3 };
-        let out = run_experiment(&exp, 4);
+        let out = toy(3, 4);
         assert_eq!(out.len(), 7);
         assert!(out.iter().all(|trials| trials.len() == 3));
         // Distinct cells get distinct streams.
@@ -323,24 +210,18 @@ mod tests {
 
     #[test]
     fn adding_trials_preserves_earlier_ones() {
-        let three = run_experiment(&Toy { trials: 3 }, 2);
-        let five = run_experiment(&Toy { trials: 5 }, 2);
+        let three = toy(3, 2);
+        let five = toy(5, 2);
         for (p3, p5) in three.iter().zip(five.iter()) {
             assert_eq!(p3.as_slice(), &p5[..3]);
         }
     }
 
     #[test]
-    fn summary_statistics() {
-        let s = Summary::of(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(s.n, 4);
-        assert!((s.mean - 2.5).abs() < 1e-12);
-        assert!((s.stddev - (1.25f64).sqrt()).abs() < 1e-12);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
-        assert_eq!(s.p50, 2.0);
-        assert_eq!(s.p99, 4.0);
-        assert_eq!(Summary::of(&[]), Summary::default());
+    fn mean_over_extracts_then_averages() {
+        let outs = [(1.0, 'a'), (2.0, 'b'), (6.0, 'c')];
+        assert_eq!(mean_over(&outs, |o| o.0), 3.0);
+        assert_eq!(mean_over(&[] as &[(f64, char)], |o| o.0), 0.0);
     }
 
     #[test]

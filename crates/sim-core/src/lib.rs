@@ -13,16 +13,15 @@
 //! * [`rng`] — seeded random streams plus the samplers the workloads need
 //!   (exponential, Zipf, log-normal) so no extra crates are required.
 //! * [`cost`] — the calibrated cost model: every nanosecond the simulator
-//!   ever charges is a named constant here (see `EXPERIMENTS.md` for the
-//!   calibration story).
+//!   ever charges is a named constant here (the calibrated values are
+//!   `CostModel::default()`; the module doc states their targets).
 //! * [`cpu`] — a generalized-processor-sharing CPU pool with per-task rate
 //!   caps; reproduces the vCPU interference effects of Figures 7 and 9.
 //! * [`metrics`] — histograms/quantiles, time series and busy-interval
 //!   recorders used by the benchmark harness.
-//! * [`experiment`] — the multi-trial, multi-point experiment engine the
-//!   bench harness runs on: sweep grids, per-trial RNG stream derivation
-//!   and a parallel runner whose results are bit-identical to the serial
-//!   path.
+//! * [`experiment`] — [`run_grid`], the multi-trial, multi-point runner
+//!   the bench harness runs on: per-cell RNG stream derivation and a
+//!   parallel path whose results are bit-identical to the serial one.
 //! * [`stats`] — deterministic inference for experiment comparison:
 //!   Welch's t-test, Student-t confidence intervals, and a seeded
 //!   percentile bootstrap over [`DetRng`].
@@ -48,7 +47,7 @@ pub use collections::IdMap;
 pub use cost::{CostModel, LatencyBreakdown};
 pub use cpu::{CpuPool, TaskId};
 pub use events::{BinaryHeapQueue, EventQueue};
-pub use experiment::{run_experiment, run_reduced, ExpOpts, Experiment, Summary, TrialCtx};
+pub use experiment::{run_grid, ExpOpts, TrialCtx};
 pub use metrics::{fnv1a, BusyRecorder, Fnv1a, Histogram, Reservoir, TimeSeries};
 pub use rng::{nhpp_thinned_arrivals, poisson_arrivals_into, DetRng};
 pub use stats::{bootstrap_diff_ci, mean_ci, t_critical, welch, welch_ci, Welch};

@@ -2,6 +2,7 @@
 //! windows, bounded reservoirs.
 
 use crate::rng::DetRng;
+use crate::stats::mean;
 use crate::time::{SimDuration, SimTime};
 
 /// A sample histogram with exact quantiles.
@@ -426,11 +427,6 @@ impl BusyRecorder {
             .map(|i| self.windows.get(i).copied().unwrap_or(0.0) / wsecs)
             .collect()
     }
-
-    /// Returns total cpu-seconds recorded.
-    pub fn total_cpu_seconds(&self) -> f64 {
-        self.windows.iter().sum()
-    }
 }
 
 /// An incremental 64-bit FNV-1a hasher.
@@ -487,18 +483,6 @@ pub fn fnv1a(s: &str) -> u64 {
     let mut h = Fnv1a::new();
     h.write(s.as_bytes());
     h.finish()
-}
-
-/// Returns the arithmetic mean of `xs` (0 if empty).
-///
-/// The single shared definition of "mean" used by the bench tables, so
-/// figure modules don't each carry their own divide-by-len helper.
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
 }
 
 /// Returns the geometric mean of `xs` (0 if empty).
@@ -593,7 +577,6 @@ mod tests {
         assert_eq!(u.len(), 2);
         assert!((u[0] - 0.5).abs() < 1e-9);
         assert!((u[1] - 0.25).abs() < 1e-9);
-        assert!((b.total_cpu_seconds() - 0.75).abs() < 1e-9);
     }
 
     #[test]
@@ -616,13 +599,6 @@ mod tests {
         assert_eq!(a.count(), 3);
         assert_eq!(a.p50(), 2.0, "merged samples participate in quantiles");
         assert_eq!(b.count(), 1, "merge leaves the source untouched");
-    }
-
-    #[test]
-    fn mean_of_slice() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(mean(&[4.0]), 4.0);
-        assert!((mean(&[1.0, 2.0, 6.0]) - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -144,7 +144,7 @@ pub struct TraceHeader {
     pub kinds: Vec<FunctionKind>,
 }
 
-/// Summary of a full validation scan ([`validate_trace`]).
+/// Totals of a full validation scan ([`validate_trace`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraceStats {
     /// Total arrivals the trace expands to (at trial 0).
