@@ -213,8 +213,8 @@ fn committed_grid_digests_are_pinned() {
     let expected = "\
 cluster_grid.scn:41a85650f2db1ae5
 cluster_grid.scn --quick:41a85650f2db1ae5
-fleet_grid.scn:a7f818dae274450e
-fleet_grid.scn --quick:aa2fc96dfd54b083
+fleet_grid.scn:8082b856997b468d
+fleet_grid.scn --quick:36b97273f27356cf
 ";
     let mut got = String::new();
     for file in ["cluster_grid.scn", "fleet_grid.scn"] {

@@ -766,7 +766,7 @@ impl FleetSim {
                     .map(|t| t.as_secs_f64())
                     .unwrap_or(self.duration_s),
                 result: match slot.sim {
-                    Some(sim) => sim.finish(),
+                    Some(sim) => sim.finish(end),
                     None => slot.result.expect("stopped host kept its result"),
                 },
             })
@@ -1023,7 +1023,7 @@ impl FleetSim {
         if matches!(state, HostState::Retired | HostState::Failed) {
             slot.stop_at = Some(now);
             let sim = slot.sim.take().expect("a host stops once");
-            slot.result = Some(sim.finish());
+            slot.result = Some(sim.finish(now));
         }
     }
 
@@ -1345,6 +1345,38 @@ mod tests {
             drained[0].stop_s
         );
         assert!(drained[0].result.completed > 0, "served before retiring");
+    }
+
+    #[test]
+    fn drained_host_footprint_stops_at_its_stop_time() {
+        // The graceful-drain run: one host retires mid-run, and nothing
+        // it holds after `stop_s` may count toward its GiB·s.
+        let tenants = burst_tenants(8, 4.0, 0.05);
+        let opts = AutoscaleOpts {
+            min_hosts: 1,
+            max_hosts: 2,
+            boot_delay_s: 10.0,
+            cooldown_s: 1.0,
+        };
+        let r = FleetSim::new(
+            fleet_cfg(2, tenants, 120.0, opts),
+            Box::new(RoundRobin::default()),
+            Box::new(DrainOnce { ticks: 0, at: 1 }),
+        )
+        .expect("boot")
+        .run();
+        let h = r
+            .hosts
+            .iter()
+            .find(|h| h.final_state == HostState::Retired)
+            .expect("one host retired");
+        let stop = SimTime::ZERO + SimDuration::from_secs_f64(h.stop_s);
+        let horizon = SimTime::ZERO + SimDuration::secs(120);
+        let gib_s = |until| h.result.host_usage.integral_until(until) / (1u64 << 30) as f64;
+        assert!(h.stop_s < 120.0, "retired mid-run at {}", h.stop_s);
+        assert!(gib_s(stop) < gib_s(horizon), "memory held at retirement");
+        assert_eq!(h.result.gib_seconds(), gib_s(stop));
+        assert_eq!(h.result.end, stop);
     }
 
     #[test]

@@ -280,9 +280,10 @@ impl HostSim {
         }
     }
 
-    /// Consumes the host and produces its results.
-    pub fn finish(self) -> SimResult {
-        let end = SimTime::ZERO + SimDuration::from_secs_f64(self.config.duration_s);
+    /// Consumes the host and produces its results, with its footprint
+    /// integrated up to `end`: the horizon for a host that ran the whole
+    /// run, the stop time for one that retired or failed.
+    pub fn finish(self, end: SimTime) -> SimResult {
         // Rebuild the result map in declaration order == `Ord` order —
         // byte-identical to the former `BTreeMap` accumulator.
         let live = self.per_func_live;

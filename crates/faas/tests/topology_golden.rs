@@ -248,11 +248,11 @@ fn committed_spec_digests_are_pinned() {
     let expected = "\
 churn_cluster.scn:6517007c203a9cf3
 cluster_routing.scn:b7a56f81b7f563c7
-fleet_fixed_crashes.scn:91e5bdf6f1abf181
-fleet_slam.scn:b279badaa6e275f5
+fleet_fixed_crashes.scn:009747f20f9bee64
+fleet_slam.scn:ec48eec7367fb9f1
 memhog_pressure.scn:d8acfbf923a2bb00
 single_azure.scn:d1f32605c696491e
-sweep_policy_grid.scn:c19404c5fb92f683
+sweep_policy_grid.scn:5a1aa02d1ffd6b12
 trace_replay.scn:1a8b60299f532222
 ";
     let mut files: Vec<String> = std::fs::read_dir(repo("examples/scenarios"))
