@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! repro [all|table1|fig1|...|fig11|thp|soft|fpr|temporal|cluster|fleet|hybrid]
+//! repro [all|table1|fig1|...|fig11|thp|soft|fpr|temporal|hybrid|cluster|fleet]
 //!       [--quick] [--jobs N] [--trials N] [--json <path>]
 //! repro run <spec.scn>... [--compare] [--quick] [--jobs N] [--trials N] [--json <path>]
 //! repro gen-trace
@@ -44,11 +44,13 @@
 
 use std::time::Instant;
 
-use bench::{fig1, fig10, fig2, fig5, fig6, fig7, fig8, fig9, fpr, hybrid, thp};
 use faas::{compare_results, CompareReport, ExpectVerdict, GridOutcome, SweepSpec};
 use sim_core::experiment::run_grid;
 use sim_core::{fnv1a, ExpOpts};
-use squeezy_bench as bench;
+use squeezy_bench::{
+    fig1, fig10, fig11, fig2, fig5, fig6, fig7, fig8, fig9, fpr, hybrid, soft, table1, temporal,
+    thp,
+};
 
 /// What a report target renders.
 enum Body {
@@ -71,14 +73,10 @@ fn preset<C>(quick: bool, quick_cfg: fn() -> C, paper_cfg: fn() -> C) -> C {
 }
 
 /// Every report target as `(target, section title, body)`, in report
-/// order: `all` renders them all, in this order, and the valid-target
-/// list is derived from it.
+/// order: `all` renders them all, in this order. The valid-target list
+/// is derived from it.
 const REPORT: [(&str, &str, Body); 17] = [
-    (
-        "table1",
-        "Table 1",
-        Body::Figure(|_, _| bench::table1::render()),
-    ),
+    ("table1", "Table 1", Body::Figure(|_, _| table1::render())),
     (
         "fig1",
         "Figure 1",
@@ -146,7 +144,7 @@ const REPORT: [(&str, &str, Body); 17] = [
     (
         "fig11",
         "Figure 11",
-        Body::Figure(|_, opts| bench::fig11::render(&bench::fig11::run_with(opts))),
+        Body::Figure(|_, opts| fig11::render(&fig11::run_with(opts))),
     ),
     (
         "thp",
@@ -159,7 +157,7 @@ const REPORT: [(&str, &str, Body); 17] = [
     (
         "soft",
         "Ablation: soft memory",
-        Body::Figure(|_, opts| bench::soft::render(&bench::soft::run_with(opts))),
+        Body::Figure(|_, opts| soft::render(&soft::run_with(opts))),
     ),
     (
         "fpr",
@@ -172,7 +170,7 @@ const REPORT: [(&str, &str, Body); 17] = [
     (
         "temporal",
         "Ablation: temporal segregation",
-        Body::Figure(|_, opts| bench::temporal::render(&bench::temporal::run_with(opts))),
+        Body::Figure(|_, opts| temporal::render(&temporal::run_with(opts))),
     ),
     (
         "cluster",
@@ -204,13 +202,14 @@ const REPORT: [(&str, &str, Body); 17] = [
     ),
 ];
 
-/// Every target the CLI accepts, in help order: `all`, the report
-/// targets, then the commands. Unknown targets are rejected at parse
-/// time against this list.
+/// Every target the CLI accepts, in help order: `all`, the figure and
+/// ablation targets, the spec-grid aliases, then the commands. Unknown
+/// targets are rejected at parse time against this list.
 fn targets() -> Vec<&'static str> {
-    let report = REPORT.iter().map(|&(target, _, _)| target);
+    let figures = REPORT.iter().filter(|t| matches!(t.2, Body::Figure(_)));
+    let grids = REPORT.iter().filter(|t| matches!(t.2, Body::Grid(..)));
     std::iter::once("all")
-        .chain(report)
+        .chain(figures.chain(grids).map(|&(target, _, _)| target))
         .chain(["run", "gen-trace", "scenarios"])
         .collect()
 }

@@ -508,12 +508,15 @@ impl SweepSpec {
         }
         // The grid's trial dimension is flattened into the point, so
         // per-cell trial counts can differ: the runner sees one trial.
-        let run_unit = |&(ci, backend, trial): &(usize, BackendKind, u64), _: &mut _| {
-            cells[ci].scenario.run_trial(backend, trial)
-        };
-        let mut flat = run_grid(&units, self.base.seed, &opts.with_trials(1), run_unit)
-            .into_iter()
-            .map(|mut per_point| per_point.pop().expect("one trial per unit"));
+        let one_trial = opts.with_trials(1);
+        let mut flat = run_grid(
+            &units,
+            self.base.seed,
+            &one_trial,
+            |&(ci, backend, trial), _| cells[ci].scenario.run_trial(backend, trial),
+        )
+        .into_iter()
+        .map(|mut per_point| per_point.pop().expect("one trial per unit"));
         let mut results: Vec<(String, ScenarioResult)> = Vec::with_capacity(cells.len());
         for c in &cells {
             let trials_n = trials_of(c) as usize;
